@@ -76,6 +76,33 @@ let storage_tests =
            let addr = Kutil.Gaddr.of_int ((!counter mod 128) * 4096) in
            Kstorage.Page_store.write_immediate store addr data ~dirty:false;
            ignore (Kstorage.Page_store.read_immediate store addr)));
+    Test.make ~name:"page_store write+flush immediate 4KiB"
+      (let eng = Ksim.Engine.create () in
+       let store = Kstorage.Page_store.create eng (Kstorage.Page_store.config ()) in
+       let data = Bytes.make 4096 'p' in
+       let counter = ref 0 in
+       Staged.stage (fun () ->
+           incr counter;
+           let addr = Kutil.Gaddr.of_int ((!counter mod 128) * 4096) in
+           Kstorage.Page_store.write_immediate store addr data ~dirty:true;
+           Kstorage.Page_store.flush_immediate store addr));
+    Test.make ~name:"disk_fault checksum 4KiB"
+      (let data = Bytes.init 4096 (fun i -> Char.chr (i land 0xff)) in
+       Staged.stage (fun () -> Kstorage.Disk_fault.checksum data));
+    Test.make ~name:"wal begin+log_page 4KiB+commit"
+      (* A fresh in-memory log every 256 transactions keeps the retained
+         log (and the heap) from growing with the iteration count. *)
+      (let fresh () = Kstorage.Wal.create ~rng:(Kutil.Rng.create ~seed:7) () in
+       let wal = ref (fresh ()) in
+       let data = Bytes.make 4096 'w' in
+       let counter = ref 0 in
+       Staged.stage (fun () ->
+           incr counter;
+           if !counter mod 256 = 0 then wal := fresh ();
+           let addr = Kutil.Gaddr.of_int ((!counter mod 128) * 4096) in
+           let tx = Kstorage.Wal.begin_tx !wal in
+           Kstorage.Wal.log_page !wal tx addr data;
+           Kstorage.Wal.commit !wal tx));
   ]
 
 let codec_tests =

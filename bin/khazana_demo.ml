@@ -30,16 +30,7 @@ let maybe_traced trace f =
 
 (* ------------------------------- workload -------------------------- *)
 
-let run_workload nodes clusters ops seed level trace =
-  (* Accept either a paper consistency level (strict/release/eventual) or
-     any registered protocol name (crew, wshared, versioned, ...). *)
-  let mk_attr, level_name =
-    match Attr.level_of_string level with
-    | Some l -> ((fun ~owner -> Attr.make ~owner ~level:l ()), Attr.level_to_string l)
-    | None when Kconsistency.Registry.find level <> None ->
-      ((fun ~owner -> Attr.make ~owner ~protocol:level ()), level)
-    | None -> failwith ("unknown consistency level " ^ level)
-  in
+let run_workload nodes clusters ops seed (mk_attr, level_name) trace =
   let sys = System.create ~seed ~nodes_per_cluster:nodes ~clusters () in
   let n = System.node_count sys in
   Printf.printf "system: %d nodes in %d cluster(s), seed %d, %s consistency\n"
@@ -146,10 +137,32 @@ let ops_arg =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Simulation seed.")
 
+(* Either a paper consistency level (strict/release/eventual) or any
+   registered protocol name (crew, wshared, versioned, ...), parsed to the
+   region-attribute maker and the name to print. Anything else is a usage
+   error that lists the valid choices. *)
+let parse_level level =
+  match Attr.level_of_string level with
+  | Some l -> Ok ((fun ~owner -> Attr.make ~owner ~level:l ()), level)
+  | None when Kconsistency.Registry.find level <> None ->
+    Ok ((fun ~owner -> Attr.make ~owner ~protocol:level ()), level)
+  | None ->
+    let paper = List.map Attr.level_to_string [ Attr.Strict; Release; Eventual ] in
+    let protocols =
+      List.filter (fun p -> not (List.mem p paper)) (Kconsistency.Registry.names ())
+    in
+    Error
+      (`Msg
+        (Printf.sprintf "unknown consistency level %S, expected one of: %s" level
+           (String.concat ", " (paper @ protocols))))
+
 let level_arg =
+  let level_conv =
+    Arg.conv (parse_level, fun ppf (_, name) -> Format.pp_print_string ppf name)
+  in
   Arg.(
     value
-    & opt string "strict"
+    & opt level_conv (Result.get_ok (parse_level "strict"))
     & info [ "consistency" ] ~docv:"LEVEL"
         ~doc:"strict | release | eventual, or a registered protocol name \
               (see the protocols subcommand).")

@@ -2,7 +2,7 @@ exception Decode_error of string
 
 type encoder = Buffer.t
 
-let encoder () = Buffer.create 256
+let encoder ?(size = 256) () = Buffer.create size
 let to_bytes e = Buffer.to_bytes e
 
 let u8 e v =

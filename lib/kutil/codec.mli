@@ -11,7 +11,10 @@ exception Decode_error of string
 
 type encoder
 
-val encoder : unit -> encoder
+val encoder : ?size:int -> unit -> encoder
+(** [size] is the initial capacity in bytes (default 256); an encoder
+    sized to its output never regrows its buffer. *)
+
 val to_bytes : encoder -> bytes
 
 val u8 : encoder -> int -> unit

@@ -26,9 +26,16 @@ val active : config -> bool
 (** At least one probability is non-zero. *)
 
 val checksum : bytes -> int
-(** FNV-1a over the whole buffer. Every disk frame and log record carries
-    the checksum of its content; a torn image fails verification, which is
-    how recovery discards it instead of serving garbage. *)
+(** A 63-bit hash of the whole buffer, folded a word (8 bytes) at a time
+    with multiply/xor-shift mixing in two interleaved lanes, then the
+    bytes past the last 16-byte block one at a time; the length is mixed
+    in. Every byte is covered, and a change confined to
+    one word or one tail byte always changes the result. Every disk frame
+    and log record carries the checksum of its content; a torn image fails
+    verification, which is how recovery discards it instead of serving
+    garbage. Checksums are never stored on disk: page frames live in
+    memory, and [Wal.attach_file] recomputes each record's checksum when
+    it loads a log file, so the hash can change without a format change. *)
 
 val tear : Kutil.Rng.t -> intended:bytes -> prior:bytes option -> bytes
 (** A torn image of a write that was cut off partway: a prefix of the

@@ -21,6 +21,10 @@ let config ?(ram_pages = default_config.ram_pages)
     ?(disk_pages = default_config.disk_pages) () =
   { default_config with ram_pages; disk_pages }
 
+(* A frame's bytes are never mutated in place: content changes only by
+   replacing [data] with a fresh buffer, and [read]/[write] (and their
+   immediate variants) copy at the store's boundary. So two frames, one
+   per tier, may share one buffer. *)
 type frame = {
   mutable data : bytes;
   mutable dirty : bool;
@@ -275,7 +279,7 @@ let read t addr =
          | Some f when f == frame && not (Gaddr.Table.mem t.ram addr) ->
            let ram_frame =
              {
-               data = Bytes.copy frame.data;
+               data = frame.data;
                dirty = frame.dirty;
                pins = frame.pins;
                last_use = frame.last_use;
@@ -433,7 +437,7 @@ let flush_immediate t addr =
     if not (Gaddr.Table.mem t.disk addr) then make_disk_room t;
     install_disk t addr
       {
-        data = Bytes.copy frame.data;
+        data = frame.data;
         dirty = false;
         pins = 0;
         last_use = frame.last_use;

@@ -82,7 +82,9 @@ val write_immediate : t -> Kutil.Gaddr.t -> bytes -> dirty:bool -> unit
     invoke the eviction hook synchronously. *)
 
 val flush_immediate : t -> Kutil.Gaddr.t -> unit
-(** Copy the RAM-resident frame of [addr] through to the disk tier and
+(** Write the RAM-resident frame of [addr] through to the disk tier (the
+    disk frame shares the RAM frame's bytes; frames are never mutated in
+    place) and
     clear the RAM frame's dirty bit (the bytes are now backed; leaving it
     set would write them back a second time on demotion). The write is
     unsynced until the next {!sync}. Control-plane: no simulated latency.

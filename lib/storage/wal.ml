@@ -19,19 +19,23 @@ let default_config =
 
 type payload = Page of Gaddr.t * bytes | Note of string * bytes
 
-type body =
+(* What a record is, minus its payload. [Data] and [Control] carry a
+   {!payload} and [Checkpoint] a snapshot, but only inside the image. *)
+type head =
   | Begin of int
-  | Data of int * payload
+  | Data of int
   | Commit of int
-  | Control of payload
-  | Checkpoint of bytes
+  | Control
+  | Checkpoint
   | Prepare of int * Kutil.Txid.t
   | Decide of Kutil.Txid.t * bool * int list
 
-(* Each record carries the checksum of its encoded body, standing in for the
-   on-disk framing a real log would have. A torn record is modelled by
-   replacing [image] with a cut of the encoding; [check] then fails. *)
-type record = { body : body; image : bytes; check : int }
+(* Each record carries the checksum of its encoded image, standing in for
+   the on-disk framing a real log would have. The image is the only copy of
+   the record's payload: {!replay} and {!checkpoint} decode it from there.
+   A torn record is modelled by replacing [image] with a cut of the
+   encoding; [check] then fails. *)
+type record = { head : head; image : bytes; check : int }
 
 (* Real-file backing: the same record stream framed as [u32 length][image]
    on an fd. [on_disk] is the length of the oldest-first prefix already
@@ -106,25 +110,24 @@ let encode_payload e = function
       Codec.string e tag;
       Codec.bytes e data
 
-let encode_body body =
-  let e = Codec.encoder () in
-  (match body with
+(* Encoded size of a payload (tag, address or tag string, u32 length,
+   bytes), so its record's encoder never regrows. *)
+let payload_size = function
+  | Page (_, data) -> 21 + Bytes.length data
+  | Note (tag, data) -> 9 + String.length tag + Bytes.length data
+
+let encode_head e = function
   | Begin id ->
       Codec.u8 e 0;
       Codec.int e id
-  | Data (id, p) ->
+  | Data id ->
       Codec.u8 e 1;
-      Codec.int e id;
-      encode_payload e p
+      Codec.int e id
   | Commit id ->
       Codec.u8 e 2;
       Codec.int e id
-  | Control p ->
-      Codec.u8 e 3;
-      encode_payload e p
-  | Checkpoint snap ->
-      Codec.u8 e 4;
-      Codec.bytes e snap
+  | Control -> Codec.u8 e 3
+  | Checkpoint -> Codec.u8 e 4
   | Prepare (id, gtx) ->
       Codec.u8 e 5;
       Codec.int e id;
@@ -133,8 +136,7 @@ let encode_body body =
       Codec.u8 e 6;
       Kutil.Txid.encode e gtx;
       Codec.bool e commit;
-      Codec.list e (Codec.u32 e) participants);
-  Codec.to_bytes e
+      Codec.list e (Codec.u32 e) participants
 
 let decode_payload d =
   match Codec.read_u8 d with
@@ -146,18 +148,16 @@ let decode_payload d =
       Note (tag, Codec.read_bytes d)
   | n -> raise (Codec.Decode_error (Printf.sprintf "Wal.payload: tag %d" n))
 
-(* Inverse of {!encode_body}; raises {!Codec.Decode_error} on a mangled
-   image (a torn on-disk record). *)
-let decode_body image =
-  let d = Codec.decoder image in
+(* Inverse of {!encode_head}; leaves [d] at the payload or snapshot, if
+   any. Raises {!Codec.Decode_error} on a mangled image (a torn on-disk
+   record). *)
+let decode_head d =
   match Codec.read_u8 d with
   | 0 -> Begin (Codec.read_int d)
-  | 1 ->
-      let id = Codec.read_int d in
-      Data (id, decode_payload d)
+  | 1 -> Data (Codec.read_int d)
   | 2 -> Commit (Codec.read_int d)
-  | 3 -> Control (decode_payload d)
-  | 4 -> Checkpoint (Codec.read_bytes d)
+  | 3 -> Control
+  | 4 -> Checkpoint
   | 5 ->
       let id = Codec.read_int d in
       Prepare (id, Kutil.Txid.decode d)
@@ -166,15 +166,49 @@ let decode_body image =
       let commit = Codec.read_bool d in
       let participants = Codec.read_list d (fun () -> Codec.read_u32 d) in
       Decide (gtx, commit, participants)
-  | n -> raise (Codec.Decode_error (Printf.sprintf "Wal.body: tag %d" n))
+  | n -> raise (Codec.Decode_error (Printf.sprintf "Wal.record: tag %d" n))
 
-let append t body =
-  let image = encode_body body in
-  let r = { body; image; check = Disk_fault.checksum image } in
+(* A decoder positioned just past the record's head. *)
+let past_head r =
+  let d = Codec.decoder r.image in
+  ignore (decode_head d);
+  d
+
+(* The payload of a [Data]/[Control] record and the snapshot of a
+   [Checkpoint], freshly decoded from the (verified) image. *)
+let payload_of r = decode_payload (past_head r)
+let snapshot_of r = Codec.read_bytes (past_head r)
+
+(* A record loaded from a log file, decoded in full once so a garbage
+   frame raises {!Codec.Decode_error} here rather than at replay. *)
+let record_of_image image =
+  let r =
+    { head = decode_head (Codec.decoder image); image;
+      check = Disk_fault.checksum image }
+  in
+  (match r.head with
+  | Data _ | Control -> ignore (payload_of r)
+  | Checkpoint -> ignore (snapshot_of r)
+  | Begin _ | Commit _ | Prepare _ | Decide _ -> ());
+  r
+
+let push t r =
   t.records <- r :: t.records;
   t.len <- t.len + 1;
   t.since_checkpoint <- t.since_checkpoint + 1;
   t.appends <- t.appends + 1
+
+(* [size] bounds the bytes [rest] adds after the head; 64 more cover any
+   head short of a Decide with a long participant list. *)
+let append ?(size = 0) ?(rest = ignore) t head =
+  let e = Codec.encoder ~size:(size + 64) () in
+  encode_head e head;
+  rest e;
+  let image = Codec.to_bytes e in
+  push t { head; image; check = Disk_fault.checksum image }
+
+let append_payload t head p =
+  append t head ~size:(payload_size p) ~rest:(fun e -> encode_payload e p)
 
 (* ---------------- real-file backing ---------------- *)
 
@@ -226,8 +260,11 @@ let begin_tx t =
   { id; born = t.generation }
 
 let live t tx = tx.born = t.generation
-let log_page t tx addr data = if live t tx then append t (Data (tx.id, Page (addr, Bytes.copy data)))
-let log_note t tx tag data = if live t tx then append t (Data (tx.id, Note (tag, Bytes.copy data)))
+let log_page t tx addr data =
+  if live t tx then append_payload t (Data tx.id) (Page (addr, data))
+
+let log_note t tx tag data =
+  if live t tx then append_payload t (Data tx.id) (Note (tag, data))
 
 let commit t tx =
   if live t tx then begin
@@ -251,7 +288,7 @@ let decide t ?(sync = true) gtx ~commit ~participants =
   decide t ~sync_:sync gtx ~commit ~participants
 
 let control t ?(sync_ = true) tag data =
-  append t (Control (Note (tag, Bytes.copy data)));
+  append_payload t Control (Note (tag, data));
   if sync_ then sync t
 
 (* .mli exposes the label as ?sync; shadowing dance below. *)
@@ -283,7 +320,7 @@ let in_doubt_ids readable =
   let decided : (Kutil.Txid.t, unit) Hashtbl.t = Hashtbl.create 4 in
   List.iter
     (fun r ->
-      match r.body with
+      match r.head with
       | Prepare (id, gtx) -> Hashtbl.replace prepared id gtx
       | Decide (gtx, _, _) -> Hashtbl.replace decided gtx ()
       | _ -> ())
@@ -300,16 +337,17 @@ let checkpoint t snapshot =
   let carried =
     List.filter
       (fun r ->
-        match r.body with
-        | Begin id | Data (id, _) | Prepare (id, _) -> Hashtbl.mem keep id
+        match r.head with
+        | Begin id | Data id | Prepare (id, _) -> Hashtbl.mem keep id
         | _ -> false)
       readable
   in
   t.records <- [];
   t.len <- 0;
   t.synced <- 0;
-  append t (Checkpoint (Bytes.copy snapshot));
-  List.iter (fun r -> append t r.body) carried;
+  append t Checkpoint ~size:(Bytes.length snapshot) ~rest:(fun e ->
+      Codec.bytes e snapshot);
+  List.iter (push t) carried;
   (* Carried-over records are old news, not post-checkpoint activity. *)
   t.since_checkpoint <- 0;
   t.checkpoint_count <- t.checkpoint_count + 1;
@@ -361,7 +399,7 @@ let crash t =
        itself is not counted, matching {!checkpoint}/{!append}). *)
     let rec after_checkpoint acc = function
       | [] -> acc
-      | { body = Checkpoint _; _ } :: _ -> acc
+      | { head = Checkpoint; _ } :: _ -> acc
       | _ :: rest -> after_checkpoint (acc + 1) rest
     in
     t.since_checkpoint <- after_checkpoint 0 t.records
@@ -386,7 +424,7 @@ let replay t =
   let decided : (Kutil.Txid.t, bool) Hashtbl.t = Hashtbl.create 4 in
   List.iter
     (fun r ->
-      match r.body with
+      match r.head with
       | Commit id -> Hashtbl.replace committed id ()
       | Prepare (id, gtx) -> Hashtbl.replace prepared id gtx
       | Decide (gtx, c, _) -> Hashtbl.replace decided gtx c
@@ -414,7 +452,7 @@ let replay t =
      between a transaction and later control records is the commit
      point's. *)
   let pending : (int, payload list ref) Hashtbl.t = Hashtbl.create 8 in
-  let snapshot = ref None in
+  let last_checkpoint = ref None in
   let ops = ref [] in
   let in_doubt = ref [] in
   let decisions = ref [] in
@@ -434,12 +472,12 @@ let replay t =
   in
   List.iter
     (fun r ->
-      match r.body with
-      | Checkpoint snap ->
-          snapshot := Some snap;
+      match r.head with
+      | Checkpoint ->
+          last_checkpoint := Some r;
           incr replayed
-      | Control p ->
-          ops := p :: !ops;
+      | Control ->
+          ops := payload_of r :: !ops;
           incr replayed
       | Begin id ->
           if apply_tx id || doubt_tx id <> None then begin
@@ -447,9 +485,9 @@ let replay t =
             incr replayed
           end
           else incr discarded
-      | Data (id, p) ->
+      | Data id ->
           if apply_tx id || doubt_tx id <> None then begin
-            buffer id p;
+            buffer id (payload_of r);
             incr replayed
           end
           else incr discarded
@@ -481,7 +519,7 @@ let replay t =
           incr replayed)
     readable;
   {
-    snapshot = !snapshot;
+    snapshot = Option.map snapshot_of !last_checkpoint;
     ops = List.rev !ops;
     in_doubt = List.rev !in_doubt;
     decisions = List.rev !decisions;
@@ -514,10 +552,9 @@ let attach_file t path =
       if n < 0 || !pos + 4 + n > size then continue := false
       else begin
         let image = Bytes.sub data (!pos + 4) n in
-        match decode_body image with
-        | body ->
-            loaded :=
-              { body; image; check = Disk_fault.checksum image } :: !loaded;
+        match record_of_image image with
+        | r ->
+            loaded := r :: !loaded;
             pos := !pos + 4 + n;
             valid_bytes := !pos
         | exception Codec.Decode_error _ -> continue := false
@@ -529,17 +566,17 @@ let attach_file t path =
     t.synced <- t.len;
     let rec after_checkpoint acc = function
       | [] -> acc
-      | { body = Checkpoint _; _ } :: _ -> acc
+      | { head = Checkpoint; _ } :: _ -> acc
       | _ :: rest -> after_checkpoint (acc + 1) rest
     in
     t.since_checkpoint <- after_checkpoint 0 t.records;
     (* Never re-mint a local tx id that appears in the loaded log. *)
     List.iter
       (fun r ->
-        match r.body with
-        | Begin id | Data (id, _) | Commit id | Prepare (id, _) ->
+        match r.head with
+        | Begin id | Data id | Commit id | Prepare (id, _) ->
             if id >= t.next_tx then t.next_tx <- id + 1
-        | Control _ | Checkpoint _ | Decide _ -> ())
+        | Control | Checkpoint | Decide _ -> ())
       t.records;
     if !valid_bytes < size then
       Log.info (fun m ->

@@ -22,7 +22,16 @@
 
     Replay is a pure read — applying its op list is the caller's job — and
     is idempotent by construction: the ops are plain "set" payloads, so
-    applying a replayed prefix twice leaves the same state as once. *)
+    applying a replayed prefix twice leaves the same state as once.
+
+    Each record is held as its encoded image plus a small header (kind,
+    local tx id, global txid); the image is the only copy of its payload.
+    Appending copies the caller's bytes into the image, so the caller may
+    reuse its buffer at once, and {!replay} and {!checkpoint} decode
+    payloads afresh from the verified image. A record's checksum
+    ({!Disk_fault.checksum} of its image) lives in memory only: it is
+    never written to the log file, and {!attach_file} recomputes it on
+    load. *)
 
 type config = {
   checkpoint_every : int;
@@ -52,7 +61,7 @@ val faults : t -> Disk_fault.config
     By default the log lives in process memory and "durability" is an
     accounting fiction the simulated fault model chews on. A log attached
     to a file is actually durable: {!sync} appends the unsynced records
-    ([u32 length]-framed body images) and fsyncs, {!checkpoint} rewrites
+    ([u32 length]-framed record images) and fsyncs, {!checkpoint} rewrites
     the truncated log via a rename so no crash point loses it, and a
     SIGKILL's torn tail is dropped (and truncated away) at the next
     {!attach_file}. Real processes get real crashes, so the simulated
@@ -74,7 +83,8 @@ val begin_tx : t -> tx
 (** Open an intent: appends a begin record (unsynced). *)
 
 val log_page : t -> tx -> Kutil.Gaddr.t -> bytes -> unit
-(** Record a page image under the transaction. *)
+(** Record a page image under the transaction. The log keeps no alias of
+    the caller's buffer. *)
 
 val log_note : t -> tx -> string -> bytes -> unit
 (** Record an opaque, caller-interpreted metadata mutation under the

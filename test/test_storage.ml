@@ -616,6 +616,137 @@ let test_wal_file_in_doubt_survives path =
   Alcotest.(check int) "its image held, not applied" 1 (List.length payloads);
   Alcotest.(check (list string)) "nothing applied" [] (payload_strings r)
 
+(* ------------------------------------------------------------------ *)
+(* Checksum properties                                                 *)
+(* ------------------------------------------------------------------ *)
+
+module Disk_fault = Kstorage.Disk_fault
+
+let random_bytes ~seed len =
+  let rng = Kutil.Rng.create ~seed in
+  Bytes.init len (fun _ -> Char.chr (Kutil.Rng.int rng 256))
+
+(* Every single-byte change is caught, at lengths that straddle the word
+   loop, the byte tail and the page size. *)
+let test_checksum_single_byte_flips () =
+  let lengths = List.init 18 Fun.id @ [ 63; 64; 4095; 4096; 4097 ] in
+  List.iter
+    (fun len ->
+      let b = random_bytes ~seed:len len in
+      let sum = Disk_fault.checksum b in
+      for i = 0 to len - 1 do
+        List.iter
+          (fun mask ->
+            let b' = Bytes.copy b in
+            Bytes.set b' i (Char.chr (Char.code (Bytes.get b i) lxor mask));
+            if Disk_fault.checksum b' = sum then
+              Alcotest.failf "len %d: flipping byte %d by 0x%02x kept the checksum"
+                len i mask)
+          [ 0x01; 0x02; 0x04; 0x08; 0x10; 0x20; 0x40; 0x80; 0xff ]
+      done)
+    lengths
+
+let test_checksum_mixes_length () =
+  let sums = List.init 65 (fun n -> Disk_fault.checksum (Bytes.make n '\000')) in
+  Alcotest.(check int) "all-zero buffers of 0..64 bytes hash apart" 65
+    (List.length (List.sort_uniq compare sums))
+
+(* A tear of a 4 KiB page over a prior image that differs in every byte:
+   whatever the cut, the torn image must fail the intended checksum. The
+   cut comes from the rng, so draw until every cut 1..4095 has shown up. *)
+let test_checksum_catches_every_tear () =
+  let intended = random_bytes ~seed:1 4096 in
+  let prior = Bytes.map (fun c -> Char.chr (Char.code c lxor 0x5a)) intended in
+  let sum = Disk_fault.checksum intended in
+  let rng = Kutil.Rng.create ~seed:2 in
+  let seen = Array.make 4096 false in
+  let missing = ref 4095 in
+  let draws = ref 0 in
+  while !missing > 0 && !draws < 200_000 do
+    incr draws;
+    let torn = Disk_fault.tear rng ~intended ~prior:(Some prior) in
+    let cut = ref 0 in
+    while Bytes.get torn !cut = Bytes.get intended !cut do incr cut done;
+    if not (Bytes.equal (Bytes.sub torn !cut (4096 - !cut))
+              (Bytes.sub prior !cut (4096 - !cut))) then
+      Alcotest.failf "tear at %d is not intended prefix + prior suffix" !cut;
+    if Disk_fault.checksum torn = sum then
+      Alcotest.failf "tear at cut %d kept the intended checksum" !cut;
+    if not seen.(!cut) then begin
+      seen.(!cut) <- true;
+      decr missing
+    end
+  done;
+  Alcotest.(check int) "every cut 1..4095 drawn" 0 !missing
+
+(* ------------------------------------------------------------------ *)
+(* Buffer ownership: the WAL and the store keep no alias of a caller's  *)
+(* buffer, and frames shared between tiers are never mutated in place   *)
+(* ------------------------------------------------------------------ *)
+
+(* Log one of each kind of payload, then scribble over the caller's
+   buffers: replay must return what was logged. *)
+let check_log_owns_payloads w =
+  let pg = data "page-image" and nt = data "note" and ctl = data "control" in
+  let tx = Wal.begin_tx w in
+  Wal.log_page w tx (page 1) pg;
+  Wal.log_note w tx "meta" nt;
+  Wal.commit w tx;
+  Wal.control w "ctl" ctl;
+  List.iter (fun b -> Bytes.fill b 0 (Bytes.length b) 'X') [ pg; nt; ctl ];
+  let expected = [ "page:4096:page-image"; "note:meta:note"; "note:ctl:control" ] in
+  let r = Wal.replay w in
+  Alcotest.(check (list string)) "replay ignores later caller writes" expected
+    (payload_strings r);
+  (* Nor may a replay's result alias the log. *)
+  List.iter
+    (function Wal.Page (_, b) | Wal.Note (_, b) -> Bytes.fill b 0 (Bytes.length b) 'Y')
+    r.Wal.ops;
+  Alcotest.(check (list string)) "replay result is a copy" expected
+    (payload_strings (Wal.replay w));
+  expected
+
+let test_wal_owns_payloads () = ignore (check_log_owns_payloads (mk_wal ()))
+
+let test_wal_file_owns_payloads path =
+  Sys.remove path;
+  let w = mk_wal () in
+  Wal.attach_file w path;
+  let expected = check_log_owns_payloads w in
+  Alcotest.(check (list string)) "reloaded log ignores later caller writes"
+    expected
+    (payload_strings (Wal.replay (reload path)))
+
+let test_flush_then_write_keeps_disk_frame () =
+  let _eng, s = mk () in
+  let buf = data "v1" in
+  Store.write_immediate s (page 1) buf ~dirty:true;
+  Store.flush_immediate s (page 1);
+  Bytes.fill buf 0 2 'X';
+  Store.write_immediate s (page 1) (data "v2") ~dirty:true;
+  (* The crash drops RAM; with no fault model the disk frame stands. *)
+  Store.crash s;
+  Alcotest.(check int) "disk frame verifies" 0 (Store.scrub s);
+  match Store.read_immediate s (page 1) with
+  | Some b -> Alcotest.(check string) "flushed bytes on disk" "v1" (Bytes.to_string b)
+  | None -> Alcotest.fail "flushed page lost"
+
+let test_rollback_frame_verifies () =
+  let _eng, s = mk () in
+  Store.set_faults s all_faults;
+  Store.write_immediate s (page 1) (data "v1") ~dirty:true;
+  Store.flush_immediate s (page 1);
+  Store.sync s;
+  Store.write_immediate s (page 1) (data "v2") ~dirty:true;
+  Store.flush_immediate s (page 1);
+  Store.write_immediate s (page 1) (data "v3") ~dirty:true;
+  (* The unsynced v2 flush rolls back to the synced v1 frame. *)
+  Store.crash s;
+  Alcotest.(check int) "rolled-back frame verifies" 0 (Store.scrub s);
+  match Store.read_immediate s (page 1) with
+  | Some b -> Alcotest.(check string) "rolled back" "v1" (Bytes.to_string b)
+  | None -> Alcotest.fail "durable copy lost"
+
 let () =
   Alcotest.run "kstorage"
     [
@@ -682,5 +813,23 @@ let () =
             (with_wal_file test_wal_file_torn_tail_dropped);
           Alcotest.test_case "in-doubt survives reload" `Quick
             (with_wal_file test_wal_file_in_doubt_survives);
+        ] );
+      ( "checksum",
+        [
+          Alcotest.test_case "single-byte flips" `Quick
+            test_checksum_single_byte_flips;
+          Alcotest.test_case "length mixed in" `Quick test_checksum_mixes_length;
+          Alcotest.test_case "every tear cut caught" `Quick
+            test_checksum_catches_every_tear;
+        ] );
+      ( "ownership",
+        [
+          Alcotest.test_case "wal payloads" `Quick test_wal_owns_payloads;
+          Alcotest.test_case "wal file payloads" `Quick
+            (with_wal_file test_wal_file_owns_payloads);
+          Alcotest.test_case "flush then write keeps disk frame" `Quick
+            test_flush_then_write_keeps_disk_frame;
+          Alcotest.test_case "rollback frame verifies" `Quick
+            test_rollback_frame_verifies;
         ] );
     ]
