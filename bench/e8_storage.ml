@@ -150,11 +150,18 @@ let run () =
         [ "checkpoint every"; "log records at crash"; "replay cost (ms)";
           "availability gap (ms)"; "all writes recovered" ]
   in
-  List.iter
-    (fun (label, interval) ->
-      let log_len, replay_ms, gap_ms, intact = recovery_run ~checkpoint_every:interval in
-      Stats.row t3
-        [ label; string_of_int log_len; f2 replay_ms; f2 gap_ms;
-          string_of_bool intact ])
-    [ ("64", 64); ("256", 256); ("1024", 1024); ("never", max_int) ];
-  print_table t3
+  let lost =
+    List.filter
+      (fun (label, interval) ->
+        let log_len, replay_ms, gap_ms, intact =
+          recovery_run ~checkpoint_every:interval
+        in
+        Stats.row t3
+          [ label; string_of_int log_len; f2 replay_ms; f2 gap_ms;
+            string_of_bool intact ];
+        not intact)
+      [ ("64", 64); ("256", 256); ("1024", 1024); ("never", max_int) ]
+  in
+  print_table t3;
+  if (not alive) || lost <> [] then
+    failwith "E8: a recovered or evicted page lost an acknowledged write"

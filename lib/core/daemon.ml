@@ -368,6 +368,83 @@ let note_pdir_sharers t ~page ~region_base sharers =
   Codec.list e (fun n -> Codec.int e n) sharers;
   Wal.control t.wal "pdir.sharers" (Codec.to_bytes e)
 
+(* ------------------------------------------------------------------ *)
+(* WAL checkpointing                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Truncate the intent log once it has grown past the configured bound.
+   Ordering matters: the disk tier is hardened first, so that by the time
+   the truncating checkpoint record is the only thing left, everything the
+   dropped records described really is durable. The snapshot carries the
+   homed-region table and the persistent page-directory entries. *)
+let wal_checkpoint t =
+  (* A homed page whose committed image is still dirty in RAM would have
+     its only recoverable copy die with the truncated log records: push
+     every such page to disk before asserting durability. *)
+  Page_directory.fold
+    (fun page entry () ->
+      if
+        entry.Page_directory.homed_here
+        && Store.where t.store page = Some Store.Ram
+        && Store.is_dirty t.store page
+      then Store.flush_immediate t.store page)
+    t.pdir ();
+  Store.sync t.store;
+  let e = Codec.encoder () in
+  let regions = Gaddr.Table.fold (fun _ r acc -> r :: acc) t.homed [] in
+  let regions =
+    List.sort (fun a b -> Gaddr.compare a.Region.base b.Region.base) regions
+  in
+  Codec.list e (fun r -> Region.encode e r) regions;
+  Page_directory.encode_persistent t.pdir e;
+  (* Undelivered commit decisions must survive the truncation of their
+     [Decide] records: the snapshot is the coordinator's durable copy. *)
+  let decisions =
+    Txid.Table.fold (fun g parts acc -> (g, parts) :: acc) t.txn_decisions []
+    |> List.sort (fun (a, _) (b, _) -> Txid.compare a b)
+  in
+  Codec.list e
+    (fun (g, parts) ->
+      Txid.encode e g;
+      Codec.list e (fun n -> Codec.u32 e n) parts)
+    decisions;
+  (* Simulated runs keep the disk tier in process memory, so the snapshot
+     needs no page data — replayed state rebuilds against the surviving
+     Store. A file-backed WAL is the *only* durable thing a real process
+     has: checkpoint truncation would orphan every committed page image
+     already pushed to the (volatile) disk tier, so the snapshot carries
+     the homed committed images too. The list is always present to keep
+     the format uniform; it is empty unless file-backed. *)
+  let images =
+    if Wal.file_backed t.wal then
+      Page_directory.fold
+        (fun page entry acc ->
+          if entry.Page_directory.homed_here then
+            match Store.read_immediate t.store page with
+            | Some data -> (page, data) :: acc
+            | None -> acc
+          else acc)
+        t.pdir []
+      |> List.sort (fun (a, _) (b, _) -> Gaddr.compare a b)
+    else []
+  in
+  Codec.list e
+    (fun (page, data) ->
+      Codec.u128 e page;
+      Codec.bytes e data)
+    images;
+  Wal.checkpoint t.wal (Codec.to_bytes e);
+  Metrics.incr t.metrics "wal.checkpoint"
+
+(* Enforce the log bound where records are produced: at the end of every
+   operation that may have appended some ([unlock], the end of a [serve]
+   dispatch), with the repair loop as a backstop. Invariant: never call it
+   inside [apply_actions], nor between a [Wal.commit] and the store install
+   that follows it — the checkpoint would truncate a committed image the
+   store does not hold yet. *)
+let checkpoint_if_due t =
+  if t.up && Wal.needs_checkpoint t.wal then wal_checkpoint t
+
 let rec machine_for t (region : Region.t) page =
   match Gaddr.Table.find_opt t.machines page with
   | Some slot -> slot
@@ -1470,6 +1547,7 @@ let unlock t ctx =
       && versioned_region ctx.ctx_region
       && Gaddr.Table.length ctx.ctx_written > 0
     then ctx.ctx_publish <- publish_written t op ctx;
+    checkpoint_if_due t;
     finish_span t span
   end
 
@@ -2649,7 +2727,7 @@ let serve t ~src ~span request ~reply =
     in
     let ctx = Op_ctx.make ~span:sspan (-1) in
     Fun.protect ~finally:(fun () -> finish_span t sspan) @@ fun () ->
-    match request with
+    (match request with
     | Wire.Cm_msg { page; region_base; body } ->
       serve_cm_msg t ctx ~src ~page ~region_base body
     | Wire.Get_descriptor { addr } ->
@@ -2802,7 +2880,10 @@ let serve t ~src ~span request ~reply =
         if t.up then reply Wire.R_unit
       end
     | Wire.Tx_status { gtx } -> reply (Wire.R_tx_status (txn_status t gtx))
-    | Wire.Ping -> reply Wire.R_unit
+    | Wire.Ping -> reply Wire.R_unit);
+    (* Page_flush, 2PC prepare/decide and CM installs at a home append
+       records: enforce the log bound once the dispatch is done. *)
+    checkpoint_if_due t
   end
 
 (* Manager tick of the failure detector: age member heartbeats into a
@@ -3007,72 +3088,8 @@ let repair_pass t =
     slots
 
 (* ------------------------------------------------------------------ *)
-(* WAL checkpointing and recovery replay                               *)
+(* WAL recovery replay                                                 *)
 (* ------------------------------------------------------------------ *)
-
-(* Truncate the intent log once it has grown past the configured bound.
-   Ordering matters: the disk tier is hardened first, so that by the time
-   the truncating checkpoint record is the only thing left, everything the
-   dropped records described really is durable. The snapshot carries the
-   homed-region table and the persistent page-directory entries. *)
-let wal_checkpoint t =
-  (* A homed page whose committed image is still dirty in RAM would have
-     its only recoverable copy die with the truncated log records: push
-     every such page to disk before asserting durability. *)
-  Page_directory.fold
-    (fun page entry () ->
-      if
-        entry.Page_directory.homed_here
-        && Store.where t.store page = Some Store.Ram
-        && Store.is_dirty t.store page
-      then Store.flush_immediate t.store page)
-    t.pdir ();
-  Store.sync t.store;
-  let e = Codec.encoder () in
-  let regions = Gaddr.Table.fold (fun _ r acc -> r :: acc) t.homed [] in
-  let regions =
-    List.sort (fun a b -> Gaddr.compare a.Region.base b.Region.base) regions
-  in
-  Codec.list e (fun r -> Region.encode e r) regions;
-  Page_directory.encode_persistent t.pdir e;
-  (* Undelivered commit decisions must survive the truncation of their
-     [Decide] records: the snapshot is the coordinator's durable copy. *)
-  let decisions =
-    Txid.Table.fold (fun g parts acc -> (g, parts) :: acc) t.txn_decisions []
-    |> List.sort (fun (a, _) (b, _) -> Txid.compare a b)
-  in
-  Codec.list e
-    (fun (g, parts) ->
-      Txid.encode e g;
-      Codec.list e (fun n -> Codec.u32 e n) parts)
-    decisions;
-  (* Simulated runs keep the disk tier in process memory, so the snapshot
-     needs no page data — replayed state rebuilds against the surviving
-     Store. A file-backed WAL is the *only* durable thing a real process
-     has: checkpoint truncation would orphan every committed page image
-     already pushed to the (volatile) disk tier, so the snapshot carries
-     the homed committed images too. The list is always present to keep
-     the format uniform; it is empty unless file-backed. *)
-  let images =
-    if Wal.file_backed t.wal then
-      Page_directory.fold
-        (fun page entry acc ->
-          if entry.Page_directory.homed_here then
-            match Store.read_immediate t.store page with
-            | Some data -> (page, data) :: acc
-            | None -> acc
-          else acc)
-        t.pdir []
-      |> List.sort (fun (a, _) (b, _) -> Gaddr.compare a b)
-    else []
-  in
-  Codec.list e
-    (fun (page, data) ->
-      Codec.u128 e page;
-      Codec.bytes e data)
-    images;
-  Wal.checkpoint t.wal (Codec.to_bytes e);
-  Metrics.incr t.metrics "wal.checkpoint"
 
 let restore_snapshot t snap =
   let d = Codec.decoder snap in
@@ -3199,8 +3216,7 @@ let start_repair t =
     if t.up && t.epoch = epoch then begin
       repair_pass t;
       txn_maintenance t epoch;
-      if t.up && t.epoch = epoch && Wal.needs_checkpoint t.wal then
-        wal_checkpoint t;
+      if t.epoch = epoch then checkpoint_if_due t;
       loop ()
     end
   in

@@ -33,8 +33,11 @@ type config = {
   repair_every : Ksim.Time.t;
       (** period of the home-side replica-repair pass (500 ms) *)
   wal_checkpoint_every : int;
-      (** intent-log records before the repair loop takes a truncating
-          checkpoint (default 512) *)
+      (** intent-log records appended before a truncating checkpoint
+          (default 512). Checked at the end of every operation that may
+          append records ([unlock], each served request) and by the
+          repair loop, so the log stays within this bound plus the
+          in-doubt records a checkpoint carries. *)
   acquire_window : int;
       (** pages acquired concurrently per wave of a multi-page {!lock}
           (default 16; clamped to ≥ 1, where 1 is fully sequential) *)

@@ -64,6 +64,10 @@ type t = {
   mutable synced : int;          (* durable prefix length (oldest-first) *)
   mutable len : int;
   mutable since_checkpoint : int;
+  mutable intact : int;
+      (* newest records appended since the last crash, load or checkpoint:
+         checksummed from an image nothing mutates, so only {!crash} could
+         have torn them and they need no re-verification *)
   mutable next_tx : int;
   mutable generation : int;      (* bumped on crash: fences stale tx handles *)
   mutable appends : int;
@@ -86,6 +90,7 @@ let create ?(config = default_config) ~rng () =
     synced = 0;
     len = 0;
     since_checkpoint = 0;
+    intact = 0;
     next_tx = 1;
     generation = 0;
     appends = 0;
@@ -196,6 +201,7 @@ let push t r =
   t.records <- r :: t.records;
   t.len <- t.len + 1;
   t.since_checkpoint <- t.since_checkpoint + 1;
+  t.intact <- t.intact + 1;
   t.appends <- t.appends + 1
 
 (* [size] bounds the bytes [rest] adds after the head; 64 more cover any
@@ -224,12 +230,16 @@ let write_all fd b =
   let rec go off = if off < n then go (off + Unix.write fd b off (n - off)) in
   go 0
 
+(* The [n] newest records, newest first. *)
+let rec newest n = function
+  | r :: rest when n > 0 -> r :: newest (n - 1) rest
+  | _ -> []
+
 let file_append_unsynced t f =
   if f.on_disk < t.len then begin
-    let oldest_first = List.rev t.records in
-    List.iteri
-      (fun i r -> if i >= f.on_disk then write_all f.fd (file_frame r))
-      oldest_first;
+    List.iter
+      (fun r -> write_all f.fd (file_frame r))
+      (List.rev (newest (t.len - f.on_disk) t.records));
     Unix.fsync f.fd;
     f.on_disk <- t.len
   end
@@ -298,18 +308,18 @@ let needs_checkpoint t = t.since_checkpoint >= t.config.checkpoint_every
 let size t = t.len
 let records_since_checkpoint t = t.since_checkpoint
 
-(* Oldest-first records up to (not including) the first torn one. *)
+(* Oldest-first records up to (not including) the first torn one, and how
+   many records that leaves out. Only the oldest [len - intact] records are
+   re-verified: a torn one among them still cuts off everything after it,
+   intact records included. *)
 let readable_records t =
-  let oldest_first = List.rev t.records in
-  let readable = ref [] in
-  let torn = ref false in
-  List.iter
-    (fun r ->
-      if (not !torn) && Disk_fault.checksum r.image = r.check then
-        readable := r :: !readable
-      else torn := true)
-    oldest_first;
-  (List.rev !readable, List.length oldest_first - List.length !readable)
+  let suspect = t.len - t.intact in
+  let rec go i acc = function
+    | r :: rest when i >= suspect || Disk_fault.checksum r.image = r.check ->
+        go (i + 1) (r :: acc) rest
+    | _ -> (List.rev acc, t.len - i)
+  in
+  go 0 [] (List.rev t.records)
 
 (* Local tx ids that are prepared under a global transaction whose decision
    has not been logged yet. Their page images exist nowhere but here — the
@@ -345,6 +355,7 @@ let checkpoint t snapshot =
   t.records <- [];
   t.len <- 0;
   t.synced <- 0;
+  t.intact <- 0;
   append t Checkpoint ~size:(Bytes.length snapshot) ~rest:(fun e ->
       Codec.bytes e snapshot);
   List.iter (push t) carried;
@@ -356,13 +367,14 @@ let checkpoint t snapshot =
 
 let crash t =
   t.generation <- t.generation + 1;
+  t.intact <- 0;
   let unsynced = t.len - t.synced in
   (* File-backed logs get their tail loss from the real kill, not the
      simulated fault model. *)
   if unsynced > 0 && Disk_fault.active t.faults && t.file = None then begin
     (* Oldest-first unsynced suffix; a sequential log loses a contiguous
        tail, so the first lost record truncates everything after it. *)
-    let tail = List.rev (List.filteri (fun i _ -> i < unsynced) t.records) in
+    let tail = List.rev (newest unsynced t.records) in
     let survive = ref [] in
     let stopped = ref false in
     List.iter

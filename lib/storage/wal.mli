@@ -16,9 +16,14 @@
     crashes: either every payload of a committed transaction reappears
     after replay, or none does.
 
-    The log is bounded: once {!needs_checkpoint}, the owner should sync its
-    disk tier, snapshot its persistent metadata and call {!checkpoint},
-    which truncates the log to a single checkpoint record.
+    The log is bounded only as tightly as its owner checks: once
+    {!needs_checkpoint}, the owner should sync its disk tier, snapshot its
+    persistent metadata and call {!checkpoint}, which truncates the log to
+    a single checkpoint record (plus carried in-doubt records). A daemon
+    checks at the end of every operation that may have appended records,
+    so at every operation boundary its log holds at most
+    [checkpoint_every] records plus the in-doubt records the last
+    checkpoint carried.
 
     Replay is a pure read — applying its op list is the caller's job — and
     is idempotent by construction: the ops are plain "set" payloads, so
@@ -36,7 +41,8 @@
 type config = {
   checkpoint_every : int;
       (** records appended since the last checkpoint before
-          {!needs_checkpoint} turns true (default 512) *)
+          {!needs_checkpoint} turns true (default 512); records carried
+          over by {!checkpoint} do not count *)
   replay_open_cost : Ksim.Time.t;
       (** fixed simulated cost of opening the log at recovery (default
           6 ms, one disk seek) *)
@@ -142,7 +148,13 @@ val checkpoint : t -> bytes -> unit
     "everything the truncated records described is on disk". Exception:
     prepared-but-undecided transactions are carried across the truncation
     verbatim — their images are deliberately {e not} in the disk tier yet,
-    so the log remains their only durable copy until a decision lands. *)
+    so the log remains their only durable copy until a decision lands.
+
+    Only records a crash could have torn — those older than the last
+    {!crash}, {!attach_file} load or checkpoint — have their checksums
+    re-verified; newer records were checksummed from an image nothing
+    mutates. A torn record still ends the readable log, newer records
+    included. *)
 
 (** {1 Crash and recovery} *)
 

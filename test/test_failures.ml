@@ -343,6 +343,95 @@ let test_availability_sweep_shape () =
     true (triple > single);
   Alcotest.(check bool) "replication rescues most regions" true (triple >= 8)
 
+(* The intent log's bound holds at operation granularity, whatever the
+   clock does: a burst of plain writes and 2-page transactions that takes
+   far less than one [repair_every] of simulated time (so the repair
+   loop's backstop checkpoint never runs) must still keep the home's log
+   at [wal_checkpoint_every] records plus whatever in-doubt records the
+   last checkpoint carried. [writer] is the node issuing the burst: the
+   home itself (local writes, local 2PC legs, CM installs) or a remote
+   CREW writer (write-through [Page_flush], remote [Tx_prepare] and
+   [Tx_decide]). Afterwards the home crashes and recovers, and every
+   acknowledged write must read back — from the home's own store first,
+   before any peer traffic could repair it, then through a client. *)
+let bounded_log_burst ~writer () =
+  let bound = 64 in
+  let config = { Daemon.default_config with Daemon.wal_checkpoint_every = bound } in
+  let sys = System.create ~seed:11 ~config ~nodes_per_cluster:4 ~clusters:1 () in
+  let pages = 8 in
+  let c1 = System.client sys 1 () in
+  let region =
+    System.run_fiber sys (fun () ->
+        let attr = Attr.make ~owner:1 ~min_replicas:1 () in
+        ok (Client.create_region c1 ~attr (pages * 4096)))
+  in
+  let addr p = Kutil.Gaddr.add_int region.Region.base (p * 4096) in
+  let home = System.daemon sys 1 in
+  let wal = Daemon.wal home in
+  let cw = System.client sys writer () in
+  let last = Array.make pages "" in
+  let check_bound i =
+    let size = Kstorage.Wal.size wal in
+    let since = Kstorage.Wal.records_since_checkpoint wal in
+    (* Records that are neither the checkpoint record nor appended since
+       it were carried over as in-doubt: at most one 2-page transaction's
+       begin, two images and prepare. *)
+    let carried = max 0 (size - 1 - since) in
+    if size > bound + carried || carried > 4 then
+      Alcotest.failf "op %d: log holds %d records (%d carried), bound %d" i
+        size carried bound
+  in
+  System.run_fiber sys (fun () ->
+      for i = 0 to 239 do
+        let p = i mod pages and q = (i + 3) mod pages in
+        let v = Printf.sprintf "v%05d" i in
+        if i mod 4 = 3 then begin
+          ok
+            (Client.txn cw (fun txn ->
+                 let ( let* ) = Result.bind in
+                 let* () = Client.txn_write cw txn ~addr:(addr p) (bytes_s v) in
+                 Client.txn_write cw txn ~addr:(addr q) (bytes_s v)));
+          last.(q) <- v
+        end
+        else ok (Client.write_bytes cw ~addr:(addr p) (bytes_s v));
+        last.(p) <- v;
+        (* The home reads now and then, so a remote writer must also
+           revoke its copy. *)
+        if i mod 3 = 0 then
+          ignore (ok (Client.read_bytes c1 ~addr:(addr ((i + 5) mod pages)) 6));
+        check_bound i
+      done);
+  Alcotest.(check bool)
+    (Printf.sprintf "burst within one repair period (%s)"
+       (Format.asprintf "%a" Ksim.Time.pp (System.now sys)))
+    true
+    (System.now sys < Daemon.default_config.Daemon.repair_every);
+  Alcotest.(check bool) "the bound forced checkpoints" true
+    ((Kstorage.Wal.stats wal).Kstorage.Wal.checkpoints >= 3);
+  System.crash sys 1;
+  System.recover sys 1;
+  while not (Daemon.is_up home) do
+    System.run_until_quiet ~limit:(Ksim.Time.ms 1) sys
+  done;
+  let read_home p =
+    match Kstorage.Page_store.read_immediate (Daemon.store home) (addr p) with
+    | Some b -> Bytes.sub_string b 0 6
+    | None -> "<missing>"
+  in
+  Array.iteri
+    (fun p v ->
+      Alcotest.(check string) (Printf.sprintf "home store, page %d" p) v
+        (read_home p))
+    last;
+  System.run_until_quiet ~limit:(Ksim.Time.sec 2) sys;
+  let c3 = System.client sys 3 () in
+  Array.iteri
+    (fun p v ->
+      let b = System.run_fiber sys (fun () -> ok (Client.read_bytes c3 ~addr:(addr p) 6)) in
+      Alcotest.(check string) (Printf.sprintf "client read, page %d" p) v
+        (Bytes.to_string b))
+    last
+
 let () =
   Alcotest.run "failures"
     [
@@ -368,5 +457,12 @@ let () =
             test_lossy_wan_ops_still_complete;
           Alcotest.test_case "availability sweep shape" `Slow
             test_availability_sweep_shape;
+        ] );
+      ( "wal bound",
+        [
+          Alcotest.test_case "home writer burst" `Quick
+            (bounded_log_burst ~writer:1);
+          Alcotest.test_case "remote CREW writer burst" `Quick
+            (bounded_log_burst ~writer:2);
         ] );
     ]

@@ -509,6 +509,85 @@ let test_wal_crash_every_point_sweep () =
       (payload_strings (Wal.replay w))
   done
 
+(* A checkpoint re-verifies only the records a crash could have torn;
+   records appended since are trusted. That must give exactly what
+   re-verifying the whole log gives. Script: a committed image and a
+   prepared (in-doubt) transaction, both synced, then an unsynced control
+   record the crash tears or loses. After the crash the log takes a second
+   prepared transaction and a commit, then checkpoints. With a tear, the
+   torn record ends the readable log, so the post-crash records are
+   dropped and only the pre-crash in-doubt transaction is carried. With no
+   tear, both in-doubt transactions are carried. *)
+let gtx_a = Kutil.Txid.make ~coord:3 ~epoch:1 ~seq:1
+let gtx_b = Kutil.Txid.make ~coord:3 ~epoch:1 ~seq:2
+
+let checkpoint_after_crash ~faults ~append_after =
+  let w = mk_wal ~faults () in
+  let tx = Wal.begin_tx w in
+  Wal.log_page w tx (page 1) (data "old");
+  Wal.commit w tx;
+  let tx = Wal.begin_tx w in
+  Wal.log_page w tx (page 2) (data "limbo-a");
+  Wal.prepare w tx gtx_a;
+  Wal.control w ~sync:false "tail" (data "unsynced-payload");
+  Wal.crash w;
+  if append_after then begin
+    let tx = Wal.begin_tx w in
+    Wal.log_page w tx (page 3) (data "limbo-b");
+    Wal.prepare w tx gtx_b;
+    let tx = Wal.begin_tx w in
+    Wal.log_page w tx (page 4) (data "new");
+    Wal.commit w tx
+  end;
+  Wal.checkpoint w (data "SNAP");
+  w
+
+let in_doubt_strings r =
+  List.map
+    (fun (gtx, payloads) ->
+      Kutil.Txid.to_string gtx ^ "="
+      ^ String.concat "," (payload_strings { r with Wal.ops = payloads }))
+    r.Wal.in_doubt
+
+let check_checkpoint_replay ~label ~in_doubt w =
+  let r = Wal.replay w in
+  Alcotest.(check (option string)) (label ^ ": snapshot") (Some "SNAP")
+    (Option.map Bytes.to_string r.Wal.snapshot);
+  Alcotest.(check (list string)) (label ^ ": nothing but the snapshot") []
+    (payload_strings r);
+  Alcotest.(check (list string)) (label ^ ": in-doubt carried") in_doubt
+    (in_doubt_strings r);
+  (* The checkpoint record, then begin + image + prepare per transaction. *)
+  Alcotest.(check int) (label ^ ": log size") (1 + (3 * List.length in_doubt))
+    (Wal.size w);
+  (* The checkpoint is synced: a further crash changes nothing. *)
+  Wal.crash w;
+  Alcotest.(check (list string)) (label ^ ": stable across a crash") in_doubt
+    (in_doubt_strings (Wal.replay w))
+
+let test_wal_checkpoint_after_tear () =
+  let w = checkpoint_after_crash ~faults:torn_faults ~append_after:true in
+  Alcotest.(check int) "the crash tore the frontier" 1 (Wal.stats w).torn_tail;
+  (* Reference: the same crash with nothing appended after it, so the
+     checkpoint re-verifies every record it keeps. *)
+  let reference =
+    Wal.replay (checkpoint_after_crash ~faults:torn_faults ~append_after:false)
+  in
+  Alcotest.(check (list string)) "equal to full re-verification"
+    (in_doubt_strings reference) (in_doubt_strings (Wal.replay w));
+  check_checkpoint_replay ~label:"torn"
+    ~in_doubt:[ Kutil.Txid.to_string gtx_a ^ "=page:8192:limbo-a" ] w
+
+let test_wal_checkpoint_after_clean_crash () =
+  let w = checkpoint_after_crash ~faults:all_faults ~append_after:true in
+  Alcotest.(check int) "no tear" 0 (Wal.stats w).torn_tail;
+  Alcotest.(check bool) "the unsynced record was lost" true
+    ((Wal.stats w).lost_records >= 1);
+  check_checkpoint_replay ~label:"clean"
+    ~in_doubt:
+      [ Kutil.Txid.to_string gtx_a ^ "=page:8192:limbo-a";
+        Kutil.Txid.to_string gtx_b ^ "=page:12288:limbo-b" ] w
+
 (* ------------------------------------------------------------------ *)
 (* File-backed WAL: the durability a real killed process comes back to *)
 (* ------------------------------------------------------------------ *)
@@ -615,6 +694,54 @@ let test_wal_file_in_doubt_survives path =
   Alcotest.(check bool) "same global id" true (Kutil.Txid.equal gtx gtx');
   Alcotest.(check int) "its image held, not applied" 1 (List.length payloads);
   Alcotest.(check (list string)) "nothing applied" [] (payload_strings r)
+
+(* Sync appends only the records not yet on disk. Many appends and syncs
+   (some records riding unsynced until a later sync) on both sides of a
+   checkpoint must leave a file that reloads to the same log — one frame
+   per record, nothing written twice — and replays identically. *)
+let test_wal_file_sync_appends_only_new path =
+  Sys.remove path;
+  let w = mk_wal () in
+  Wal.attach_file w path;
+  let round lo hi =
+    for i = lo to hi do
+      let tx = Wal.begin_tx w in
+      Wal.log_page w tx (page (i mod 7)) (data (Printf.sprintf "img-%d" i));
+      Wal.commit w tx;
+      if i mod 3 = 0 then
+        Wal.control w ~sync:false "hint" (data (string_of_int i))
+    done
+  in
+  round 1 60;
+  Wal.checkpoint w (data "SNAP");
+  round 61 150;
+  Wal.sync w;
+  let frames =
+    let ic = open_in_bin path in
+    let size = in_channel_length ic in
+    let b = Bytes.of_string (really_input_string ic size) in
+    close_in ic;
+    let rec count pos n =
+      if pos = size then n
+      else if pos + 4 > size then Alcotest.fail "partial frame header"
+      else
+        let len = Int32.to_int (Bytes.get_int32_be b pos) in
+        if pos + 4 + len > size then Alcotest.fail "partial frame"
+        else count (pos + 4 + len) (n + 1)
+    in
+    count 0 0
+  in
+  Alcotest.(check int) "one frame per record" (Wal.size w) frames;
+  let w' = reload path in
+  Alcotest.(check int) "reloaded log size" (Wal.size w) (Wal.size w');
+  let r = Wal.replay w and r' = Wal.replay w' in
+  Alcotest.(check (option string)) "same snapshot"
+    (Option.map Bytes.to_string r.Wal.snapshot)
+    (Option.map Bytes.to_string r'.Wal.snapshot);
+  Alcotest.(check (list string)) "same ops" (payload_strings r)
+    (payload_strings r');
+  Alcotest.(check int) "every post-checkpoint op replayed" (90 + 30)
+    (List.length r'.Wal.ops)
 
 (* ------------------------------------------------------------------ *)
 (* Checksum properties                                                 *)
@@ -802,6 +929,10 @@ let () =
             test_wal_crash_recounts_since_checkpoint;
           Alcotest.test_case "crash at every point" `Quick
             test_wal_crash_every_point_sweep;
+          Alcotest.test_case "checkpoint after a torn crash" `Quick
+            test_wal_checkpoint_after_tear;
+          Alcotest.test_case "checkpoint after a clean crash" `Quick
+            test_wal_checkpoint_after_clean_crash;
         ] );
       ( "wal_file",
         [
@@ -813,6 +944,8 @@ let () =
             (with_wal_file test_wal_file_torn_tail_dropped);
           Alcotest.test_case "in-doubt survives reload" `Quick
             (with_wal_file test_wal_file_in_doubt_survives);
+          Alcotest.test_case "sync appends only new records" `Quick
+            (with_wal_file test_wal_file_sync_appends_only_new);
         ] );
       ( "checksum",
         [
