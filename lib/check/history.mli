@@ -104,8 +104,6 @@ val jsonl_sink : out_channel -> entry -> unit
     payloads are arbitrary bytes. *)
 
 val entry_to_json : entry -> string
-val entry_of_json : string -> entry option
-(** [None] on a torn or foreign line. *)
 
 val read_jsonl : string -> entry list
 (** Parse a shard file, skipping torn/foreign lines. *)

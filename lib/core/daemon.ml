@@ -189,7 +189,6 @@ let wal t = t.wal
 let set_disk_faults t faults =
   Store.set_faults t.store faults;
   Wal.set_faults t.wal faults
-let cluster_state t = t.cm_state
 let lookup_stats t = t.stats
 let metrics t = t.metrics
 
@@ -198,11 +197,7 @@ let reset_lookup_stats t =
     { homed_hits = 0; rdir_hits = 0; cluster_hits = 0; map_walks = 0;
       map_walk_depth_total = 0; cluster_walks = 0; failures = 0 }
 
-let homed_regions t = Gaddr.Table.fold (fun _ r acc -> r :: acc) t.homed []
 let pool_bytes t = List.fold_left (fun acc (_, len) -> acc + len) 0 t.pool
-
-let machine_state t page =
-  Option.map (fun s -> Machine.packed_state_name s.packed) (Gaddr.Table.find_opt t.machines page)
 
 (* 2PC introspection and fault-injection seam (tests / nemesis). *)
 let set_txn_hook t hook = t.txn_hook <- hook

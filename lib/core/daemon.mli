@@ -338,12 +338,6 @@ val page_directory : t -> Page_directory.t
 val store : t -> Kstorage.Page_store.t
 (** The two-tier local page store. *)
 
-val homed_regions : t -> Region.t list
-(** Allocated regions whose home is this node. *)
-
-val machine_state : t -> Kutil.Gaddr.t -> string option
-(** Protocol state name of the machine for a page, if instantiated. *)
-
 val holds_page : t -> Kutil.Gaddr.t -> bool
 (** Does this node currently hold a protocol-valid copy of the page? *)
 
@@ -372,5 +366,3 @@ val metrics : t -> Ktrace.Metrics.t
 val pool_bytes : t -> int
 (** Locally reserved-but-unused address space. *)
 
-val cluster_state : t -> Cluster.t option
-(** The manager-role state when this node is a cluster manager. *)

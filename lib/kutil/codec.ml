@@ -1,23 +1,28 @@
 exception Decode_error of string
 
-type encoder = Buffer.t
+(* A sizing encoder ([counting]) writes its fixed-width fields into a
+   scratch buffer like any other, but only counts the bytes of strings and
+   reservations: its size is [Buffer.length buf + counted]. *)
+type encoder = { buf : Buffer.t; counting : bool; mutable counted : int }
 
-let encoder ?(size = 256) () = Buffer.create size
-let to_bytes e = Buffer.to_bytes e
+let encoder ?(size = 256) () =
+  { buf = Buffer.create size; counting = false; counted = 0 }
+
+let to_bytes e = Buffer.to_bytes e.buf
 
 let u8 e v =
   if v < 0 || v > 0xFF then invalid_arg "Codec.u8: out of range";
-  Buffer.add_char e (Char.chr v)
+  Buffer.add_char e.buf (Char.chr v)
 
 let u16 e v =
   if v < 0 || v > 0xFFFF then invalid_arg "Codec.u16: out of range";
-  Buffer.add_uint16_be e v
+  Buffer.add_uint16_be e.buf v
 
 let u32 e v =
   if v < 0 || v > 0xFFFF_FFFF then invalid_arg "Codec.u32: out of range";
-  Buffer.add_int32_be e (Int32.of_int (v land 0xFFFF_FFFF))
+  Buffer.add_int32_be e.buf (Int32.of_int (v land 0xFFFF_FFFF))
 
-let u64 e v = Buffer.add_int64_be e v
+let u64 e v = Buffer.add_int64_be e.buf v
 let int e v = u64 e (Int64.of_int v)
 
 let u128 e (v : U128.t) =
@@ -28,7 +33,8 @@ let bool e v = u8 e (if v then 1 else 0)
 
 let string e s =
   u32 e (String.length s);
-  Buffer.add_string e s
+  if e.counting then e.counted <- e.counted + String.length s
+  else Buffer.add_string e.buf s
 
 let bytes e b = string e (Bytes.unsafe_to_string b)
 
@@ -41,6 +47,26 @@ let option e f = function
   | Some x ->
     u8 e 1;
     f x
+
+let reserve e n =
+  if e.counting then e.counted <- e.counted + n
+  else
+    for _ = 1 to n do
+      Buffer.add_char e.buf '\000'
+    done
+
+(* One scratch sizer serves every size pass. A pass measures its own delta
+   and rewinds, so a pass nested inside another (a body sized while its
+   envelope is) leaves the outer one's count intact. *)
+let sizer = { buf = Buffer.create 256; counting = true; counted = 0 }
+
+let encoded_size f x =
+  let written = Buffer.length sizer.buf and counted = sizer.counted in
+  f sizer x;
+  let n = Buffer.length sizer.buf - written + sizer.counted - counted in
+  Buffer.truncate sizer.buf written;
+  sizer.counted <- counted;
+  n
 
 type decoder = { buf : bytes; mutable pos : int }
 

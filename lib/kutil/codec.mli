@@ -29,6 +29,16 @@ val bytes : encoder -> bytes -> unit
 val list : encoder -> ('a -> unit) -> 'a list -> unit
 val option : encoder -> ('a -> unit) -> 'a option -> unit
 
+val reserve : encoder -> int -> unit
+(** [reserve e n] advances [n] zero bytes, to be patched later or to stand
+    for a body whose size is known but whose bytes are not at hand. *)
+
+val encoded_size : (encoder -> 'a -> unit) -> 'a -> int
+(** [encoded_size f x] is the number of bytes [f] writes for [x], computed
+    by a size-only pass: fixed-width fields go to one reused scratch
+    buffer, strings and reservations are counted without being copied.
+    Nests safely; [f] must not call {!to_bytes}. *)
+
 (** {1 Decoding} *)
 
 type decoder

@@ -27,7 +27,6 @@ let sub a b =
   { hi = Int64.sub (Int64.sub a.hi b.hi) borrow; lo }
 
 let add_int v n = add v (of_int n)
-let succ v = add v one
 
 (* Multiply by a small non-negative integer using 32-bit limbs so every
    intermediate product fits in a signed int64. *)

@@ -33,7 +33,6 @@ val sub : t -> t -> t
 val add_int : t -> int -> t
 (** [add_int v n] adds a non-negative integer offset. *)
 
-val succ : t -> t
 val mul_int : t -> int -> t
 
 val divmod_int : t -> int -> t * int
@@ -41,7 +40,6 @@ val divmod_int : t -> int -> t * int
     positive integer [n]. *)
 
 val logand : t -> t -> t
-val logor : t -> t -> t
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t
 (** Logical (unsigned) shift; shift counts in [0, 128]. *)

@@ -162,8 +162,9 @@ module Make (M : MESSAGE) = struct
     check_node t dst;
     if not t.up.(src) then ()
     else begin
+      let size = M.size_bytes msg in
       t.sent <- t.sent + 1;
-      t.bytes_sent <- t.bytes_sent + M.size_bytes msg;
+      t.bytes_sent <- t.bytes_sent + size;
       account_kind t msg;
       (match t.trace with
        | Some f -> f (Ksim.Engine.now t.engine) ~src ~dst msg
@@ -183,7 +184,7 @@ module Make (M : MESSAGE) = struct
           in
           let serialisation =
             Ksim.Time.of_sec_f
-              (float_of_int (M.size_bytes msg) /. profile.bandwidth_bps)
+              (float_of_int size /. profile.bandwidth_bps)
           in
           let delay = profile.base_latency + jitter + serialisation in
           if t.ff_drop > 0.0 && Kutil.Rng.float t.frng 1.0 < t.ff_drop then

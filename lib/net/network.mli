@@ -10,8 +10,8 @@ module type MESSAGE = sig
   type t
 
   val size_bytes : t -> int
-  (** Approximate wire size, used for serialisation delay and traffic
-      accounting. *)
+  (** Wire size in bytes, used for serialisation delay and traffic
+      accounting ({!Krpc.Rpc} envelopes: the exact frame length). *)
 
   val kind : t -> string
   (** Short label for per-message-kind counters and traces. *)

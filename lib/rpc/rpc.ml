@@ -7,6 +7,8 @@ module type PROTOCOL = sig
   val request_kind : request -> string
 end
 
+module Codec = Kutil.Codec
+
 module Make (P : PROTOCOL) = struct
   module Msg = struct
     type t =
@@ -15,29 +17,94 @@ module Make (P : PROTOCOL) = struct
       | Oneway of { span : int; body : P.request }
       | Batch of { items : (int * P.request) list }
 
-    let header_size = 16
+    (* The envelope frame (layout in rpc.mli): the socket backend writes
+       these bytes and the simulator charges them. *)
 
-    (* A non-null trace span id adds one correlation word to the envelope;
-       untraced traffic is byte-identical to the pre-tracing protocol. *)
-    let span_size span = if span = 0 then 0 else 8
+    let frame_prefix = 4
 
-    (* Batched items share one envelope header and pay a small per-item
-       length prefix instead: coalescing N messages saves
-       (N-1) * (header_size - item_header) bytes on top of the N-1 saved
-       envelopes. *)
-    let item_header = 4
+    let tag_request = 1
+    and tag_response = 2
+    and tag_oneway = 3
+    and tag_batch = 4
 
-    let size_bytes = function
-      | Request { span; body; _ } ->
-        header_size + span_size span + P.request_size body
-      | Response { body; _ } -> header_size + P.response_size body
+    let encode ~request ~response enc ~src m =
+      Codec.reserve enc frame_prefix;
+      match m with
+      | Request { id; span; body } ->
+        Codec.u8 enc tag_request;
+        Codec.u32 enc src;
+        Codec.int enc id;
+        Codec.int enc span;
+        request enc body
+      | Response { id; body } ->
+        Codec.u8 enc tag_response;
+        Codec.u32 enc src;
+        Codec.int enc id;
+        response enc body
       | Oneway { span; body } ->
-        header_size + span_size span + P.request_size body
+        Codec.u8 enc tag_oneway;
+        Codec.u32 enc src;
+        Codec.int enc span;
+        request enc body
       | Batch { items } ->
-        List.fold_left
-          (fun acc (span, body) ->
-            acc + item_header + span_size span + P.request_size body)
-          header_size items
+        Codec.u8 enc tag_batch;
+        Codec.u32 enc src;
+        Codec.list enc
+          (fun (span, body) ->
+            Codec.int enc span;
+            request enc body)
+          items
+
+    (* Bodies are charged their protocol size, not re-encoded, so protocols
+       without a codec are sized by the same frame. *)
+    let charge =
+      encode
+        ~request:(fun enc body -> Codec.reserve enc (P.request_size body))
+        ~response:(fun enc body -> Codec.reserve enc (P.response_size body))
+        ~src:0
+
+    let size_bytes m = Codec.encoded_size charge m
+
+    let encode_frame ~request ~response ~src m =
+      let enc = Codec.encoder ~size:(size_bytes m) () in
+      encode ~request ~response enc ~src m;
+      let frame = Codec.to_bytes enc in
+      Bytes.set_int32_be frame 0
+        (Int32.of_int (Bytes.length frame - frame_prefix));
+      frame
+
+    let payload_length buf pos = Int32.to_int (Bytes.get_int32_be buf pos)
+
+    let payload_src payload =
+      if Bytes.length payload < 5 then None
+      else Some (Int32.to_int (Bytes.get_int32_be payload 1))
+
+    let decode_payload ~request ~response payload =
+      let dec = Codec.decoder payload in
+      let tag = Codec.read_u8 dec in
+      let src = Codec.read_u32 dec in
+      let msg =
+        if tag = tag_request then
+          let id = Codec.read_int dec in
+          let span = Codec.read_int dec in
+          Request { id; span; body = request dec }
+        else if tag = tag_response then
+          let id = Codec.read_int dec in
+          Response { id; body = response dec }
+        else if tag = tag_oneway then
+          let span = Codec.read_int dec in
+          Oneway { span; body = request dec }
+        else if tag = tag_batch then
+          Batch
+            {
+              items =
+                Codec.read_list dec (fun () ->
+                    let span = Codec.read_int dec in
+                    (span, request dec));
+            }
+        else raise (Codec.Decode_error "Rpc.Msg: unknown frame tag")
+      in
+      (src, msg)
 
     let kind = function
       | Request { body; _ } -> P.request_kind body

@@ -19,10 +19,12 @@ module type PROTOCOL = sig
   type response
 
   val request_size : request -> int
-  (** Approximate serialised size of a request body in bytes. *)
+  (** Encoded size of a request body in bytes: for a protocol with a
+      codec, exactly the bytes its encoder writes
+      ({!Kutil.Codec.encoded_size}). *)
 
   val response_size : response -> int
-  (** Approximate serialised size of a response body in bytes. *)
+  (** Encoded size of a response body in bytes, likewise. *)
 
   val request_kind : request -> string
   (** Short label for per-kind traffic counters ({!Knet.Network}). *)
@@ -45,9 +47,51 @@ module Make (P : PROTOCOL) : sig
               pair and is dispatched to the server exactly as a separate
               [Oneway] would have been. *)
 
+    (** {2 The envelope frame}
+
+        The one wire layout of an envelope, written by the socket backend
+        and charged by the simulator. Integers are big-endian; [int] is
+        8 bytes, so an untraced envelope carries a zero span word:
+
+        {v
+  [u32 payload length] [u8 tag] [u32 src], then
+  Request   tag 1  [int id] [int span] body
+  Response  tag 2  [int id] body
+  Oneway    tag 3  [int span] body
+  Batch     tag 4  [u32 count], then per item [int span] body
+        v} *)
+
+    val frame_prefix : int
+    (** Bytes of the length prefix that precedes every payload (4). *)
+
     val size_bytes : t -> int
-    (** Envelope wire size: header + body, plus a span correlation word
-        when traced; batches share one header across items. *)
+    (** Length of the envelope's frame, prefix included, with each body
+        charged {!PROTOCOL.request_size} / {!PROTOCOL.response_size}: for a
+        protocol whose sizes come from its codec, exactly the bytes
+        {!encode_frame} produces. Allocates nothing. *)
+
+    val encode_frame :
+      request:(Kutil.Codec.encoder -> P.request -> unit) ->
+      response:(Kutil.Codec.encoder -> P.response -> unit) ->
+      src:int ->
+      t ->
+      bytes
+    (** The complete frame, length prefix included. *)
+
+    val payload_length : bytes -> int -> int
+    (** [payload_length buf pos] reads the length prefix at [pos]. *)
+
+    val payload_src : bytes -> int option
+    (** The sender of a payload (a frame without its prefix), read without
+        decoding the body; [None] if too short. *)
+
+    val decode_payload :
+      request:(Kutil.Codec.decoder -> P.request) ->
+      response:(Kutil.Codec.decoder -> P.response) ->
+      bytes ->
+      int * t
+    (** [(src, envelope)] from a payload.
+        @raise Kutil.Codec.Decode_error on malformed input. *)
 
     val kind : t -> string
     (** Envelope-level label ("rpc.batch" for batches). *)

@@ -87,11 +87,10 @@ let run ?until t =
   while continue () && step t do
     ()
   done;
-  (* Advance the clock to the horizon so back-to-back [run_for] calls keep a
+  (* Advance the clock to the horizon so back-to-back bounded runs keep a
      monotone notion of time even when the queue drains early. *)
   match until with
   | Some limit when t.clock < limit -> t.clock <- limit
   | Some _ | None -> ()
 
-let run_for t d = run ~until:(t.clock + d) t
 let events_fired t = t.fired

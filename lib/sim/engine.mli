@@ -19,7 +19,6 @@ val schedule : t -> after:Time.t -> (unit -> unit) -> timer
 (** [schedule t ~after f] runs [f] at [now t + after]. Negative delays are
     clamped to zero. *)
 
-val schedule_at : t -> at:Time.t -> (unit -> unit) -> timer
 val cancel : timer -> unit
 (** Cancelling an already-fired timer is a no-op. *)
 
@@ -37,9 +36,6 @@ val step : t -> bool
 val run : ?until:Time.t -> t -> unit
 (** Drain the event queue, stopping early once the clock would pass
     [until]. Events beyond [until] remain queued. *)
-
-val run_for : t -> Time.t -> unit
-(** [run_for t d] is [run ~until:(now t + d) t]. *)
 
 val events_fired : t -> int
 (** Total events executed so far (for microbenchmarks and sanity checks). *)

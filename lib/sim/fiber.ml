@@ -67,7 +67,6 @@ let spawn_after eng ~after ?(name = "fiber") f =
   ignore (Engine.schedule eng ~after (fun () -> run_fiber eng name f))
 
 let sleep d = perform (Sleep (engine_now (), d))
-let yield () = sleep 0
 
 let await p =
   match Promise.peek p with Some v -> v | None -> perform (Await p)

@@ -17,8 +17,6 @@ val spawn_after : Engine.t -> after:Time.t -> ?name:string -> (unit -> unit) -> 
 val sleep : Time.t -> unit
 (** Suspend the calling fiber for the given virtual duration. *)
 
-val yield : unit -> unit
-
 val await : 'a Promise.t -> 'a
 (** Suspend until the promise resolves (returns immediately if it already
     has). *)

@@ -23,14 +23,7 @@ module Faults = struct
   }
 end
 
-module type PROTOCOL = sig
-  type request
-  type response
-
-  val request_size : request -> int
-  val response_size : response -> int
-  val request_kind : request -> string
-end
+module type PROTOCOL = Krpc.Rpc.PROTOCOL
 
 module type WIRE = sig
   include PROTOCOL

@@ -56,14 +56,7 @@ end
 
 (** What the simulated backend needs of a protocol: size and kind
     accounting only (messages travel as OCaml values). *)
-module type PROTOCOL = sig
-  type request
-  type response
-
-  val request_size : request -> int
-  val response_size : response -> int
-  val request_kind : request -> string
-end
+module type PROTOCOL = Krpc.Rpc.PROTOCOL
 
 (** What a real backend needs: a protocol that also round-trips through
     bytes ({!Kutil.Codec} wire format). *)

@@ -1,8 +1,6 @@
 module Codec = Kutil.Codec
 module Policy = Krpc.Policy
 
-let frame_header = 4
-
 type incoming = {
   in_fd : Unix.file_descr;
   in_buf : Buffer.t;
@@ -29,13 +27,8 @@ type dial = {
 
 module Make (W : Transport.WIRE) = struct
   module T = Transport.Make (W)
-
-  (* Envelope alphabet, mirroring {!Krpc.Rpc.Make.Msg} on real bytes. *)
-  type msg =
-    | Request of { call : int; span : int; body : W.request }
-    | Response of { call : int; body : W.response }
-    | Oneway of { span : int; body : W.request }
-    | Batch of { items : (int * W.request) list }
+  module Rpc = Krpc.Rpc.Make (W)
+  module Msg = Rpc.Msg
 
   type t = {
     id : int;
@@ -81,88 +74,21 @@ module Make (W : Transport.WIRE) = struct
 
   (* ---------------- frames ---------------- *)
 
-  let tag_request = 1
-  and tag_response = 2
-  and tag_oneway = 3
-  and tag_batch = 4
+  let encode_frame =
+    Msg.encode_frame ~request:W.encode_request ~response:W.encode_response
 
-  let encode_msg ~src msg =
-    let enc = Codec.encoder () in
-    (match msg with
-     | Request { call; span; body } ->
-       Codec.u8 enc tag_request;
-       Codec.u32 enc src;
-       Codec.int enc call;
-       Codec.int enc span;
-       W.encode_request enc body
-     | Response { call; body } ->
-       Codec.u8 enc tag_response;
-       Codec.u32 enc src;
-       Codec.int enc call;
-       W.encode_response enc body
-     | Oneway { span; body } ->
-       Codec.u8 enc tag_oneway;
-       Codec.u32 enc src;
-       Codec.int enc span;
-       W.encode_request enc body
-     | Batch { items } ->
-       Codec.u8 enc tag_batch;
-       Codec.u32 enc src;
-       Codec.list enc
-         (fun (span, body) ->
-           Codec.int enc span;
-           W.encode_request enc body)
-         items);
-    let payload = Codec.to_bytes enc in
-    let n = Bytes.length payload in
-    let frame = Bytes.create (frame_header + n) in
-    Bytes.set_int32_be frame 0 (Int32.of_int n);
-    Bytes.blit payload 0 frame frame_header n;
-    frame
-
-  let decode_payload payload =
-    let dec = Codec.decoder payload in
-    let tag = Codec.read_u8 dec in
-    let src = Codec.read_u32 dec in
-    let msg =
-      if tag = tag_request then
-        let call = Codec.read_int dec in
-        let span = Codec.read_int dec in
-        Request { call; span; body = W.decode_request dec }
-      else if tag = tag_response then
-        let call = Codec.read_int dec in
-        Response { call; body = W.decode_response dec }
-      else if tag = tag_oneway then
-        let span = Codec.read_int dec in
-        Oneway { span; body = W.decode_request dec }
-      else if tag = tag_batch then
-        Batch
-          {
-            items =
-              Codec.read_list dec (fun () ->
-                  let span = Codec.read_int dec in
-                  (span, W.decode_request dec));
-          }
-      else raise (Codec.Decode_error "Transport_unix: unknown frame tag")
-    in
-    (src, msg)
-
-  (* ---------------- accounting ---------------- *)
-
-  let account_kind t k =
-    t.atoms <- t.atoms + 1;
-    Hashtbl.replace t.by_kind k
-      (1 + Option.value (Hashtbl.find_opt t.by_kind k) ~default:0)
+  let decode_payload =
+    Msg.decode_payload ~request:W.decode_request ~response:W.decode_response
 
   let account_sent t msg frame =
     t.sent <- t.sent + 1;
     t.bytes_sent <- t.bytes_sent + Bytes.length frame;
-    match msg with
-    | Request { body; _ } | Oneway { body; _ } ->
-      account_kind t (W.request_kind body)
-    | Response _ -> account_kind t "response"
-    | Batch { items } ->
-      List.iter (fun (_, body) -> account_kind t (W.request_kind body)) items
+    List.iter
+      (fun k ->
+        t.atoms <- t.atoms + 1;
+        Hashtbl.replace t.by_kind k
+          (1 + Option.value (Hashtbl.find_opt t.by_kind k) ~default:0))
+      (Msg.kinds msg)
 
   (* ---------------- sockets ---------------- *)
 
@@ -324,7 +250,7 @@ module Make (W : Transport.WIRE) = struct
      peer is unreachable right now; shim losses return [true] because the
      frame left this endpoint as far as the caller can tell. *)
   let rec transmit t ~dst msg =
-    let frame = encode_msg ~src:t.id msg in
+    let frame = encode_frame ~src:t.id msg in
     account_sent t msg frame;
     if fault_blocked t t.id dst then begin
       t.dropped <- t.dropped + 1;
@@ -350,7 +276,8 @@ module Make (W : Transport.WIRE) = struct
         let push () =
           if dst = t.id then begin
             let payload =
-              Bytes.sub frame frame_header (Bytes.length frame - frame_header)
+              Bytes.sub frame Msg.frame_prefix
+                (Bytes.length frame - Msg.frame_prefix)
             in
             ignore
               (Ksim.Engine.schedule t.engine ~after:(local_delay + delay_ns)
@@ -386,29 +313,29 @@ module Make (W : Transport.WIRE) = struct
 
   and deliver t ~src msg =
     match msg with
-    | Request { call; span; body } -> (
+    | Msg.Request { id; span; body } -> (
       match t.server with
       | None -> t.dropped <- t.dropped + 1
       | Some server ->
         t.delivered <- t.delivered + 1;
         let reply resp =
-          ignore (transmit t ~dst:src (Response { call; body = resp }))
+          ignore (transmit t ~dst:src (Msg.Response { id; body = resp }))
         in
         server ~src ~span body ~reply)
-    | Response { call; body } -> (
+    | Msg.Response { id; body } -> (
       t.delivered <- t.delivered + 1;
-      match Hashtbl.find_opt t.pending call with
+      match Hashtbl.find_opt t.pending id with
       | None -> () (* late reply after timeout: drop *)
       | Some promise ->
-        Hashtbl.remove t.pending call;
+        Hashtbl.remove t.pending id;
         ignore (Ksim.Promise.try_resolve promise body))
-    | Oneway { span; body } -> (
+    | Msg.Oneway { span; body } -> (
       match t.server with
       | None -> t.dropped <- t.dropped + 1
       | Some server ->
         t.delivered <- t.delivered + 1;
         server ~src ~span body ~reply:(fun _ -> ()))
-    | Batch { items } -> (
+    | Msg.Batch { items } -> (
       match t.server with
       | None -> t.dropped <- t.dropped + 1
       | Some server ->
@@ -460,17 +387,16 @@ module Make (W : Transport.WIRE) = struct
     let len = Bytes.length data in
     let pos = ref 0 in
     let continue = ref true in
-    while !continue && !pos + frame_header <= len do
-      let n = Int32.to_int (Bytes.get_int32_be data !pos) in
-      if n < 0 || !pos + frame_header + n > len then continue := false
+    while !continue && !pos + Msg.frame_prefix <= len do
+      let n = Msg.payload_length data !pos in
+      if n < 0 || !pos + Msg.frame_prefix + n > len then continue := false
       else begin
-        let payload = Bytes.sub data (!pos + frame_header) n in
-        (* Every frame begins [u8 tag][u32 src] (see [encode_msg]); peek
-           the src so [sever] can find the connection a peer speaks on. *)
-        if c.in_src = None && n >= 5 then
-          c.in_src <- Some (Int32.to_int (Bytes.get_int32_be payload 1));
+        let payload = Bytes.sub data (!pos + Msg.frame_prefix) n in
+        (* Peek the src so [sever] can find the connection a peer speaks
+           on. *)
+        if c.in_src = None then c.in_src <- Msg.payload_src payload;
         dispatch_payload t payload;
-        pos := !pos + frame_header + n
+        pos := !pos + Msg.frame_prefix + n
       end
     done;
     if !pos > 0 then begin
@@ -530,7 +456,8 @@ module Make (W : Transport.WIRE) = struct
         t.next_call <- t.next_call + 1;
         let promise = Ksim.Promise.create () in
         Hashtbl.replace t.pending call_id promise;
-        if not (transmit t ~dst (Request { call = call_id; span; body = request }))
+        if
+          not (transmit t ~dst (Msg.Request { id = call_id; span; body = request }))
         then begin
           (* The send itself failed: dead socket or refused dial. Don't
              burn a full reply window waiting for an answer that never
@@ -563,8 +490,8 @@ module Make (W : Transport.WIRE) = struct
       Hashtbl.remove t.queues dst;
       (match List.rev !q with
        | [] -> ()
-       | [ (span, body) ] -> ignore (transmit t ~dst (Oneway { span; body }))
-       | items -> ignore (transmit t ~dst (Batch { items })))
+       | [ (span, body) ] -> ignore (transmit t ~dst (Msg.Oneway { span; body }))
+       | items -> ignore (transmit t ~dst (Msg.Batch { items })))
 
   let notify t ~src ~dst ~span ~coalesce request =
     require_local t src "notify";
@@ -576,7 +503,7 @@ module Make (W : Transport.WIRE) = struct
         ignore
           (Ksim.Engine.schedule t.engine ~after:0 (fun () -> flush_queue t ~dst))
     end
-    else ignore (transmit t ~dst (Oneway { span; body = request }))
+    else ignore (transmit t ~dst (Msg.Oneway { span; body = request }))
 
   let set_coalescing t on =
     if not on then

@@ -5,10 +5,10 @@
     opened outgoing connections to peers, and a private {!Ksim.Engine.t}
     whose virtual clock is driven to track real elapsed time — so the same
     fiber-blocking daemon code that runs under simulation runs here with
-    real-time semantics. Frames are a 4-byte big-endian length followed by
-    a {!Kutil.Codec} payload; the envelope alphabet (request / response /
-    oneway / batch) mirrors the simulated RPC layer's, so coalescing and
-    per-kind accounting behave identically.
+    real-time semantics. Frames are the simulated RPC layer's own
+    envelopes ({!Krpc.Rpc.Make.Msg}) in their frame layout, so coalescing,
+    per-kind accounting and byte counts behave identically on both
+    backends.
 
     Two kinds of failure coexist on this backend. {e Genuine} failures —
     a peer process that died, a refused dial, a dead socket mid-write —

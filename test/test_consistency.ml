@@ -343,7 +343,9 @@ let test_wshared_diff_only_changed_bytes () =
   let diff_size =
     List.fold_left
       (fun acc (_, _, msg) ->
-        match msg with Ctypes.Diff _ -> acc + Ctypes.msg_size msg | _ -> acc)
+        match msg with
+        | Ctypes.Diff _ -> acc + Kutil.Codec.encoded_size Ctypes.encode_msg msg
+        | _ -> acc)
       0 h.H.wire
   in
   Alcotest.(check bool)

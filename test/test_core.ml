@@ -1,5 +1,6 @@
 (* Unit tests for the core building blocks: attributes, region descriptors,
-   region directory, page directory, cluster-manager state, layout. *)
+   region directory, page directory, cluster-manager state, layout, and
+   the wire: codecs, simulated sizes and real socket frames. *)
 
 module Attr = Khazana.Attr
 module Region = Khazana.Region
@@ -235,27 +236,270 @@ let test_layout_constants () =
   Alcotest.(check bool) "map allocated" true (r.Region.state = Region.Allocated);
   Alcotest.(check string) "map protocol" "release" r.Region.attr.Attr.protocol
 
-let test_wire_sizes_positive () =
-  let reqs =
+(* --------------------------- Wire and frames ----------------------- *)
+
+module Wire = Khazana.Wire
+module Msg = Wire.Sim.Rpc.Msg
+module Sockets = Wire.Sockets
+module Codec = Kutil.Codec
+
+let to_bytes enc x =
+  let e = Codec.encoder () in
+  enc e x;
+  Codec.to_bytes e
+
+let hex b =
+  String.concat ""
+    (List.init (Bytes.length b) (fun i -> Printf.sprintf "%02x" (Bytes.get_uint8 b i)))
+
+(* One value per constructor of every type that crosses the wire. *)
+let img = Bytes.init 64 (fun i -> Char.chr (i * 7 land 0xff))
+let runs = [ (3, Bytes.of_string "ab"); (100, Bytes.of_string "xyz") ]
+let page = addr 0x12000
+let base = addr 0x10000
+
+let cm_msgs =
+  Ctypes.
     [
-      Khazana.Wire.Get_descriptor { addr = addr 0 };
-      Khazana.Wire.Chunk_request;
-      Khazana.Wire.Ping;
-      Khazana.Wire.Cm_msg
-        { page = addr 0; region_base = addr 0;
-          body = Ctypes.Read_grant { data = Bytes.create 4096; version = 1; fence = 0 } };
+      Read_req; Write_req; Fetch { dest = 2; fence = 7 };
+      Fetch_own { dest = 3; fence = 8 };
+      Read_grant { data = img; version = 4; fence = 9 };
+      Own_grant { data = img; version = 5; fence = 10 };
+      Upgrade_grant { fence = 1 }; Invalidate { fence = 2 }; Invalidate_ack;
+      Done { mode = Write }; Nack; Evict_notify;
+      Own_return { data = img; version = 6 }; Update { data = img; version = 7 };
+      Update_ack; Pull_req; Diff { patches = runs; version = 8 };
+      Fence_bump { floor = 11 };
     ]
+
+let payloads = Ctypes.[ Whole img; Runs runs ]
+
+let results =
+  Ctypes.
+    [ Published 4; Cas_mismatch { latest = 5 }; Parent_gone { latest = 6 };
+      Publish_unsupported ]
+
+let requests =
+  let desc = mk_region () and gtx = Kutil.Txid.make ~coord:1 ~epoch:2 ~seq:3 in
+  List.map (fun body -> Wire.Cm_msg { page; region_base = base; body }) cm_msgs
+  @ List.map
+      (fun payload ->
+        Wire.Page_diff
+          { page; region_base = base; parent = 3; expected = Some 4; payload })
+      payloads
+  @ Wire.
+      [
+        Get_descriptor { addr = page }; Alloc_region { desc };
+        Free_region { base }; Unreserve_region { base };
+        Set_attr { base; attr = mk_attr ~min_replicas:2 () }; Chunk_request;
+        Cluster_lookup { addr = page }; Cluster_walk { addr = page };
+        Cluster_report { node_regions = [ (base, desc) ]; free_bytes = 1 lsl 30 };
+        Suspect_hint { cluster = 1; suspects = [ 4; 5 ] }; Page_pull { page };
+        Page_probe { page }; Ping; Tx_prepare { gtx; pages = [ (page, img) ] };
+        Tx_decide { gtx; commit = true }; Tx_status { gtx };
+        Page_flush { page; region_base = base; data = img; version = 7 };
+        Page_version { page; region_base = base; at = None };
+      ]
+
+let responses =
+  let desc = mk_region () in
+  List.map (fun r -> Wire.R_publish r) results
+  @ Wire.
+      [
+        R_unit; R_descriptor None; R_descriptor (Some desc); R_page None;
+        R_page (Some (img, 3)); R_held true; R_chunk { base; len = 1 lsl 30 };
+        R_lookup { desc = Some desc; holders = [ 1; 2 ] }; R_error "no";
+        R_tx_vote false; R_tx_status Tx_committed; R_tx_status Tx_aborted;
+        R_tx_status Tx_in_progress;
+      ]
+
+(* [decode (encode x) = x] for every value, and the leading tag bytes
+   cover [0, tags): a constructor added without a row here fails. *)
+let check_codec name ~tags enc dec xs =
+  List.iter
+    (fun x ->
+      let b = to_bytes enc x in
+      Alcotest.(check bool) (name ^ " round-trips") true
+        (dec (Codec.decoder b) = x))
+    xs;
+  Alcotest.(check (list int)) (name ^ ": every constructor")
+    (List.init tags Fun.id)
+    (List.sort_uniq compare
+       (List.map (fun x -> Bytes.get_uint8 (to_bytes enc x) 0) xs))
+
+(* A bare socket listening where node 1 would: whatever node 0's real
+   endpoint sends it arrives here as raw frame bytes. Node 0 answers every
+   request with [reply]; its requester is a second real endpoint, node 1
+   in another directory whose node-0 path links to node 0's socket, so the
+   answer travels to the tap. *)
+type tap = {
+  ep : Sockets.t;
+  client : Sockets.t;
+  listen : Unix.file_descr;
+  mutable conn : Unix.file_descr option;
+  mutable reply : Wire.response;
+}
+
+let with_tap f =
+  let mkdir tag =
+    let dir =
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "kwire-%s-%d-%d" tag (Unix.getpid ())
+           (int_of_float (Unix.gettimeofday () *. 1e6) mod 1_000_000))
+    in
+    Unix.mkdir dir 0o700;
+    dir
   in
+  let dir = mkdir "ep" and cdir = mkdir "client" in
+  let topology = Knet.Topology.symmetric ~nodes_per_cluster:2 ~clusters:1 in
+  let listen = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listen (Unix.ADDR_UNIX (Filename.concat dir "node-1.sock"));
+  Unix.listen listen 4;
+  let ep = Sockets.create ~dir ~id:0 topology in
+  Unix.symlink (Filename.concat dir "node-0.sock") (Filename.concat cdir "node-0.sock");
+  let client = Sockets.create ~dir:cdir ~id:1 topology in
+  let tap = { ep; client; listen; conn = None; reply = Wire.R_unit } in
+  Wire.Transport.set_server (Sockets.pack ep) 0 (fun ~src:_ ~span:_ _ ~reply ->
+      reply tap.reply);
+  Fun.protect
+    ~finally:(fun () ->
+      Sockets.close ep;
+      Sockets.close client;
+      Option.iter Unix.close tap.conn;
+      Unix.close listen;
+      List.iter Sys.remove
+        [ Filename.concat dir "node-1.sock"; Filename.concat cdir "node-0.sock" ];
+      Unix.rmdir dir;
+      Unix.rmdir cdir)
+    (fun () -> f tap)
+
+let rec read_exact fd b off n =
+  if n > 0 then begin
+    let k = Unix.read fd b off n in
+    if k = 0 then Alcotest.fail "tap: connection closed";
+    read_exact fd b (off + k) (n - k)
+  end
+
+(* Pump both endpoints until the tap holds a frame, then read exactly it. *)
+let next_frame tap =
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec wait fd =
+    if Unix.gettimeofday () > deadline then Alcotest.fail "tap: no frame";
+    Sockets.pump ~max_wait:0.0 tap.ep;
+    Sockets.pump ~max_wait:0.0 tap.client;
+    match Unix.select [ fd ] [] [] 0.002 with
+    | [], _, _ -> wait fd
+    | _ -> ()
+  in
+  let conn =
+    match tap.conn with
+    | Some c -> c
+    | None ->
+      wait tap.listen;
+      let c, _ = Unix.accept tap.listen in
+      tap.conn <- Some c;
+      c
+  in
+  wait conn;
+  let prefix = Bytes.create 4 in
+  read_exact conn prefix 0 4;
+  let n = Int32.to_int (Bytes.get_int32_be prefix 0) in
+  let frame = Bytes.extend prefix 0 n in
+  read_exact conn frame 4 n;
+  frame
+
+(* Make node 0's socket backend put [env] on the wire; return its frame. *)
+let send tap env =
+  let tr = Sockets.pack tap.ep in
+  (match env with
+   | Msg.Request { span; body; _ } ->
+     Ksim.Fiber.spawn (Sockets.engine tap.ep) (fun () ->
+         ignore (Wire.Transport.call tr ~src:0 ~dst:1 ~span body))
+   | Msg.Oneway { span; body } ->
+     Wire.Transport.notify tr ~src:0 ~dst:1 ~span body
+   | Msg.Batch { items } ->
+     List.iter
+       (fun (span, body) ->
+         Wire.Transport.notify tr ~src:0 ~dst:1 ~span ~coalesce:true body)
+       items
+   | Msg.Response { body; _ } ->
+     tap.reply <- body;
+     Ksim.Fiber.spawn (Sockets.engine tap.client) (fun () ->
+         ignore
+           (Wire.Transport.call (Sockets.pack tap.client) ~src:1 ~dst:0
+              Wire.Ping)));
+  next_frame tap
+
+let test_wire_sizes_positive () =
+  check_codec "cm msg" ~tags:18 Ctypes.encode_msg Ctypes.decode_msg cm_msgs;
+  check_codec "publish payload" ~tags:2 Ctypes.encode_publish_payload
+    Ctypes.decode_publish_payload payloads;
+  check_codec "publish result" ~tags:4 Ctypes.encode_publish_result
+    Ctypes.decode_publish_result results;
+  check_codec "request" ~tags:20 Wire.encode_request Wire.decode_request requests;
+  check_codec "response" ~tags:10 Wire.encode_response Wire.decode_response
+    responses;
+  (* Body sizes are the codec's. *)
   List.iter
     (fun r ->
-      Alcotest.(check bool)
-        (Khazana.Wire.request_kind r ^ " has positive size")
-        true
-        (Khazana.Wire.request_size r > 0))
-    reqs;
-  (* Data-bearing messages dominate. *)
-  Alcotest.(check bool) "grant carries page" true
-    (Khazana.Wire.request_size (List.nth reqs 3) > 4096)
+      Alcotest.(check int) (Wire.request_kind r ^ " size")
+        (Bytes.length (to_bytes Wire.encode_request r))
+        (Wire.request_size r))
+    requests;
+  List.iter
+    (fun r ->
+      Alcotest.(check int) "response size"
+        (Bytes.length (to_bytes Wire.encode_response r))
+        (Wire.response_size r))
+    responses;
+  (* The simulator charges every envelope exactly the socket frame. *)
+  with_tap (fun tap ->
+      let envelopes =
+        List.concat_map
+          (fun body ->
+            [
+              Msg.Request { id = 0; span = 0; body };
+              Msg.Request { id = 0; span = 5; body };
+              Msg.Oneway { span = 0; body };
+              Msg.Oneway { span = 5; body };
+              Msg.Batch { items = [ (0, body); (5, body) ] };
+            ])
+          requests
+        @ List.map (fun body -> Msg.Response { id = 0; body }) responses
+      in
+      List.iter
+        (fun env ->
+          Alcotest.(check int)
+            (Msg.kind env ^ " frame length")
+            (Bytes.length (send tap env))
+            (Msg.size_bytes env))
+        envelopes)
+
+(* The socket format, byte for byte, one frame per envelope kind. *)
+let test_golden_frames () =
+  with_tap (fun tap ->
+      let golden name env expect =
+        Alcotest.(check string) name expect (hex (send tap env))
+      in
+      golden "request"
+        (Msg.Request { id = 0; span = 7; body = Wire.Get_descriptor { addr = page } })
+        "000000260100000000000000000000000000000000000000070100000000000000000000000000012000";
+      golden "response"
+        (Msg.Response { id = 0; body = Wire.R_chunk { base; len = 4096 } })
+        "000000260200000000000000000000000004000000000000000000000000000100000000000000001000";
+      golden "oneway"
+        (Msg.Oneway
+           { span = 0;
+             body = Wire.Cm_msg { page; region_base = base;
+                                  body = Ctypes.Invalidate { fence = 2 } } })
+        "0000003703000000000000000000000000000000000000000000000000000001200000000000000000000000000000010000070000000000000002";
+      golden "batch"
+        (Msg.Batch
+           { items =
+               [ (0, Wire.Cm_msg { page; region_base = base;
+                                   body = Ctypes.Invalidate_ack });
+                 (9, Wire.Ping) ] })
+        "0000003c04000000000000000200000000000000000000000000000000000000000000012000000000000000000000000000000100000800000000000000090d")
 
 let () =
   Alcotest.run "core-units"
@@ -296,5 +540,6 @@ let () =
         [
           Alcotest.test_case "layout" `Quick test_layout_constants;
           Alcotest.test_case "wire sizes" `Quick test_wire_sizes_positive;
+          Alcotest.test_case "golden frames" `Quick test_golden_frames;
         ] );
     ]
