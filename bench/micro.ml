@@ -32,6 +32,16 @@ let container_tests =
              ignore (Kutil.Lru.put lru (i mod 80) i);
              ignore (Kutil.Lru.find lru (i mod 80))
            done));
+    Test.make ~name:"gaddr table find (256 pages)"
+      (* One lookup per iteration in a table of 256 page-aligned keys, the
+         shape of a node's page store and page directory. *)
+      (let pages = Array.init 256 (fun i -> Kutil.Gaddr.of_int (i * 4096)) in
+       let t = Kutil.Gaddr.Table.create 256 in
+       Array.iteri (fun i a -> Kutil.Gaddr.Table.replace t a i) pages;
+       let counter = ref 0 in
+       Staged.stage (fun () ->
+           incr counter;
+           Kutil.Gaddr.Table.find_opt t pages.(!counter land 255)));
   ]
 
 let engine_tests =

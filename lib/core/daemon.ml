@@ -136,7 +136,7 @@ type t = {
   wal : Wal.t;
   rdir : Region_directory.t;
   pdir : Page_directory.t;
-  homed : Region.t Gaddr.Table.t;
+  mutable homed : Region.t Gaddr.Map.t;
   machines : slot Gaddr.Table.t;
   pending : (int, (unit, error) result Ksim.Promise.t) Hashtbl.t;
   mutable next_req : int;
@@ -296,12 +296,15 @@ let replica_targets t (region : Region.t) =
     List.filter (fun n -> n <> region.home)
       (Topology.cluster_members t.topology home_cluster)
   in
-  (* Rotate by region identity so replicas spread over the cluster instead
-     of piling onto the lowest-numbered nodes. *)
+  (* Rotate by the region's first page number so replicas spread over the
+     cluster instead of piling onto the lowest-numbered nodes. The page
+     number, not the raw address: every base is page-aligned, so the
+     address is even and would never rotate over two members. *)
   match members with
   | [] -> []
   | _ :: _ ->
-    let k = Gaddr.hash region.base mod List.length members in
+    let page, _ = U128.divmod_int region.base region.attr.Attr.page_size in
+    let _, k = U128.divmod_int page (List.length members) in
     let rec rotate i = function
       | [] -> []
       | x :: rest as l -> if i = 0 then l else rotate (i - 1) (rest @ [ x ])
@@ -386,11 +389,7 @@ let wal_checkpoint t =
     t.pdir ();
   Store.sync t.store;
   let e = Codec.encoder () in
-  let regions = Gaddr.Table.fold (fun _ r acc -> r :: acc) t.homed [] in
-  let regions =
-    List.sort (fun a b -> Gaddr.compare a.Region.base b.Region.base) regions
-  in
-  Codec.list e (fun r -> Region.encode e r) regions;
+  Codec.list e (fun (_, r) -> Region.encode e r) (Gaddr.Map.bindings t.homed);
   Page_directory.encode_persistent t.pdir e;
   (* Undelivered commit decisions must survive the truncation of their
      [Decide] records: the snapshot is the coordinator's durable copy. *)
@@ -616,11 +615,12 @@ let on_evict t page data ~dirty =
 (* Region location (§3.2)                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Homed regions are disjoint, so only the last one starting at or below
+   [addr] can hold it. *)
 let homed_containing t addr =
-  Gaddr.Table.fold
-    (fun _ r acc ->
-      match acc with Some _ -> acc | None -> if Region.contains r addr then Some r else None)
-    t.homed None
+  match Gaddr.Map.find_last_opt (fun base -> Gaddr.compare base addr <= 0) t.homed with
+  | Some (_, r) when Region.contains r addr -> Some r
+  | Some _ | None -> None
 
 (* Every remote hop is a span under the caller's context, and the span id
    travels in the RPC envelope so the peer's dispatch nests under it. *)
@@ -793,7 +793,7 @@ let map_io t ctx : Address_map.io =
 let bootstrap_map t =
   if t.id <> t.bootstrap then invalid_arg "Daemon.bootstrap_map: wrong node";
   let region = map_region t in
-  Gaddr.Table.replace t.homed region.Region.base region;
+  t.homed <- Gaddr.Map.add region.Region.base region t.homed;
   note_homed_put t region;
   let root = Address_map.Node.empty_root () in
   Store.write_immediate t.store (Layout.map_page_addr 0)
@@ -1046,7 +1046,7 @@ let reserve t ?attr ~ctx len =
       with
       | Error e -> Error (`Conflict e)
       | Ok () ->
-        Gaddr.Table.replace t.homed base region;
+        t.homed <- Gaddr.Map.add base region t.homed;
         note_homed_put t region;
         Region_directory.put t.rdir region;
         Ok region)
@@ -1076,7 +1076,7 @@ let background_retry t ~name f =
 
 let allocate_local t (region : Region.t) =
   let allocated = Region.allocated region in
-  Gaddr.Table.replace t.homed region.Region.base allocated;
+  t.homed <- Gaddr.Map.add region.Region.base allocated t.homed;
   note_homed_put t allocated;
   Region_directory.put t.rdir allocated
 
@@ -1116,7 +1116,7 @@ let allocate t ~ctx base =
   result
 
 let free_local t base =
-  match Gaddr.Table.find_opt t.homed base with
+  match Gaddr.Map.find_opt base t.homed with
   | None -> true
   | Some region ->
     (* The whole free is one logged intent: without the transaction, a
@@ -1139,7 +1139,7 @@ let free_local t base =
         Store.drop t.store page;
         Page_directory.remove t.pdir page)
       pages;
-    Gaddr.Table.replace t.homed base reserved;
+    t.homed <- Gaddr.Map.add base reserved t.homed;
     Region_directory.put t.rdir reserved;
     true
 
@@ -1162,7 +1162,7 @@ let free t ~ctx base =
 
 let unreserve_local t ctx base =
   ignore (free_local t base);
-  Gaddr.Table.remove t.homed base;
+  t.homed <- Gaddr.Map.remove base t.homed;
   note_homed_del t base;
   Region_directory.remove t.rdir base;
   match Address_map.remove (map_io t ctx) base with
@@ -1192,7 +1192,7 @@ let unreserve t ~ctx base =
    so recent set_attr/allocate calls are honoured. *)
 let refresh_descriptor t ctx (region : Region.t) =
   if region.Region.home = t.id then
-    Gaddr.Table.find_opt t.homed region.Region.base
+    Gaddr.Map.find_opt region.Region.base t.homed
   else
     match
       rpc t ctx ~dst:region.Region.home
@@ -1901,7 +1901,7 @@ let set_attr t ~ctx base (attr : Attr.t) =
         in
         if region.Region.home = t.id then begin
           let region' = { region with Region.attr = updated } in
-          Gaddr.Table.replace t.homed base region';
+          t.homed <- Gaddr.Map.add base region' t.homed;
           note_homed_put t region';
           Region_directory.put t.rdir region';
           Ok ()
@@ -2735,7 +2735,7 @@ let serve t ~src ~span request ~reply =
     | Wire.Alloc_region { desc } ->
       if desc.Region.home <> t.id then reply (Wire.R_error "not my region")
       else begin
-        (match Gaddr.Table.find_opt t.homed desc.Region.base with
+        (match Gaddr.Map.find_opt desc.Region.base t.homed with
          | Some r -> allocate_local t r
          | None ->
            (* Home lost the descriptor (recovered from crash): adopt it. *)
@@ -2750,10 +2750,10 @@ let serve t ~src ~span request ~reply =
           ignore (unreserve_local t ctx base);
           reply Wire.R_unit)
     | Wire.Set_attr { base; attr } -> (
-      match Gaddr.Table.find_opt t.homed base with
+      match Gaddr.Map.find_opt base t.homed with
       | Some region ->
         let region' = { region with Region.attr = attr } in
-        Gaddr.Table.replace t.homed base region';
+        t.homed <- Gaddr.Map.add base region' t.homed;
         note_homed_put t region';
         Region_directory.put t.rdir region';
         reply Wire.R_unit
@@ -2793,7 +2793,7 @@ let serve t ~src ~span request ~reply =
            | Some slot -> Machine.packed_has_valid_copy slot.packed
            | None -> false))
     | Wire.Page_flush { page; region_base; data; version } -> (
-      match Gaddr.Table.find_opt t.homed region_base with
+      match Gaddr.Map.find_opt region_base t.homed with
       | Some region when Region.contains region page ->
         let slot = machine_for t region page in
         if version < Machine.packed_backup_version slot.packed then
@@ -2839,7 +2839,7 @@ let serve t ~src ~span request ~reply =
          new version and ship the outcome back. The minted image reaches
          the store and the WAL through the Install action the machine
          returns, exactly like a local write. *)
-      match Gaddr.Table.find_opt t.homed region_base with
+      match Gaddr.Map.find_opt region_base t.homed with
       | Some region when Region.contains region page ->
         let slot = machine_for t region page in
         let result, actions =
@@ -2853,7 +2853,7 @@ let serve t ~src ~span request ~reply =
          chain ([at = Some v]), or the latest settled image ([at = None]).
          A [R_page None] for a pinned version means the chain GC already
          reclaimed it — the reader's snapshot has expired for this page. *)
-      match Gaddr.Table.find_opt t.homed region_base with
+      match Gaddr.Map.find_opt region_base t.homed with
       | Some region when Region.contains region page ->
         let slot = machine_for t region page in
         reply (Wire.R_page (Machine.packed_read_at slot.packed at))
@@ -2927,7 +2927,7 @@ let start_reporting t =
        | Some cm -> detect_and_disseminate t cm
        | None ->
          let node_regions =
-           Gaddr.Table.fold (fun base r acc -> (base, r) :: acc) t.homed []
+           Gaddr.Map.bindings t.homed
          in
          let node_regions =
            List.fold_left
@@ -2974,7 +2974,7 @@ let repair_pass t =
   in
   List.iter
     (fun (page, base) ->
-      match Gaddr.Table.find_opt t.homed base with
+      match Gaddr.Map.find_opt base t.homed with
       | Some region when region.Region.state = Region.Allocated -> (
         (* Our disk image may predate writes that died with our RAM, but a
            protocol-valid copy on a live sharer can never be stale — the
@@ -3091,7 +3091,7 @@ let restore_snapshot t snap =
   let regions = Codec.read_list d (fun () -> Region.decode d) in
   List.iter
     (fun r ->
-      Gaddr.Table.replace t.homed r.Region.base r;
+      t.homed <- Gaddr.Map.add r.Region.base r t.homed;
       Region_directory.put t.rdir r)
     regions;
   Page_directory.decode_persistent t.pdir d;
@@ -3126,11 +3126,11 @@ let apply_note t tag data =
   match tag with
   | "homed.put" ->
     let r = Region.decode d in
-    Gaddr.Table.replace t.homed r.Region.base r;
+    t.homed <- Gaddr.Map.add r.Region.base r t.homed;
     Region_directory.put t.rdir r
   | "homed.del" ->
     let base = Codec.read_u128 d in
-    Gaddr.Table.remove t.homed base;
+    t.homed <- Gaddr.Map.remove base t.homed;
     Region_directory.remove t.rdir base
   | "pdir.ensure" ->
     let page = Codec.read_u128 d in
@@ -3238,7 +3238,7 @@ let crash t =
      come back through WAL replay (or, for hints, through traffic). The
      address pool leaks — exactly as unflushed reservations would. *)
   Page_directory.crash t.pdir;
-  Gaddr.Table.reset t.homed;
+  t.homed <- Gaddr.Map.empty;
   (* 2PC state dies too and comes back through replay: prepared entries
      from surviving [Prepare] records, decisions from the snapshot and
      surviving [Decide] records. The voting-window table stays empty on
@@ -3331,7 +3331,7 @@ let create ?(config = default_config) ?(peer_managers = []) ?wal_file ~id
       wal;
       rdir = Region_directory.create ~capacity:config.rdir_capacity;
       pdir = Page_directory.create ();
-      homed = Gaddr.Table.create 32;
+      homed = Gaddr.Map.empty;
       machines = Gaddr.Table.create 256;
       pending = Hashtbl.create 32;
       next_req = 0;

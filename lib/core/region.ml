@@ -26,8 +26,7 @@ let pages t =
 
 let end_ t = Gaddr.add_int t.base t.len
 
-let contains t addr =
-  Gaddr.compare t.base addr <= 0 && Gaddr.compare addr (end_ t) < 0
+let contains t addr = Gaddr.within addr ~base:t.base ~len:t.len
 
 let contains_range t addr ~len =
   len >= 0 && contains t addr

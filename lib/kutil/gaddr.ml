@@ -11,6 +11,7 @@ let diff a b =
 let compare = U128.compare
 let equal = U128.equal
 let hash = U128.hash
+let within = U128.within
 let pp = U128.pp
 let to_string = U128.to_string
 let default_page_size = 4096

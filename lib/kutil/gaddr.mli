@@ -14,6 +14,12 @@ val diff : t -> t -> int
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
+(** {!U128.hash}: mixes both words, for {!Table} only. Derive no placement
+    from it; rotate by page number instead. *)
+
+val within : t -> base:t -> len:int -> bool
+(** {!U128.within}: [base <= addr < base + len], allocation-free. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

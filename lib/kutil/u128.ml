@@ -89,7 +89,16 @@ let compare a b =
   let c = Int64.unsigned_compare a.hi b.hi in
   if c <> 0 then c else Int64.unsigned_compare a.lo b.lo
 
-let equal a b = compare a b = 0
+let equal a b = Int64.equal a.lo b.lo && Int64.equal a.hi b.hi
+
+(* [v - base] computed in unboxed locals, so the test allocates nothing. *)
+let within v ~base ~len =
+  compare base v <= 0
+  &&
+  let borrow = if Int64.unsigned_compare v.lo base.lo < 0 then 1L else 0L in
+  Int64.equal (Int64.sub (Int64.sub v.hi base.hi) borrow) 0L
+  && Int64.unsigned_compare (Int64.sub v.lo base.lo) (Int64.of_int len) < 0
+
 let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
 let distance a b = if compare a b >= 0 then sub a b else sub b a
@@ -163,6 +172,15 @@ let to_string v =
 
 let pp ppf v = Format.pp_print_string ppf (to_string v)
 
+(* Fold the high word in with an odd multiplier, then run the splitmix64
+   finalizer so every input bit reaches the low bits a hashtable indexes
+   by. Page-aligned addresses differ only above bit 12; without the mix
+   they would all share one bucket. *)
 let hash v =
-  let mix a b = (a * 0x9E3779B1) lxor (b + (a lsl 6) + (a lsr 2)) in
-  mix (Int64.to_int v.hi) (Int64.to_int v.lo) land max_int
+  let x = Int64.logxor v.lo (Int64.mul v.hi 0x9E3779B97F4A7C15L) in
+  let x = Int64.logxor x (Int64.shift_right_logical x 30) in
+  let x = Int64.mul x 0xBF58476D1CE4E5B9L in
+  let x = Int64.logxor x (Int64.shift_right_logical x 27) in
+  let x = Int64.mul x 0x94D049BB133111EBL in
+  let x = Int64.logxor x (Int64.shift_right_logical x 31) in
+  Int64.to_int x land max_int

@@ -48,6 +48,10 @@ val compare : t -> t -> int
 (** Unsigned comparison. *)
 
 val equal : t -> t -> bool
+val within : t -> base:t -> len:int -> bool
+(** [within v ~base ~len] is [base <= v < base + len] for a non-negative
+    [len], without allocating. *)
+
 val min : t -> t -> t
 val max : t -> t -> t
 
@@ -66,3 +70,8 @@ val to_string : t -> string
 (** Compact form: hex with leading zeros elided, ["0x"]-prefixed. *)
 
 val hash : t -> int
+(** A non-negative hash that mixes both words (splitmix64's finalizer over
+    [lo lxor (hi * odd)]), consistent with {!equal}. Addresses that differ
+    only above bit 12 or only in [hi] still spread over a table's buckets.
+    It is for hash tables only: its values may change with the mix, so no
+    placement, ordering or persisted state may be derived from it. *)

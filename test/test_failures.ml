@@ -343,6 +343,40 @@ let test_availability_sweep_shape () =
     true (triple > single);
   Alcotest.(check bool) "replication rescues most regions" true (triple >= 8)
 
+(* Replica placement rotates by page number, so regions homed on one node
+   spread their replicas over every other member of its cluster. In a
+   3-node cluster the home has two peers; a rotation by the raw (always
+   even) base address would send every first replica to the same one. *)
+let test_replicas_spread_over_cluster () =
+  let sys = System.create ~seed:42 ~nodes_per_cluster:3 ~clusters:2 () in
+  let home = 4 and peers = [ 3; 5 ] in
+  let c = System.client sys home () in
+  let regions =
+    System.run_fiber sys (fun () ->
+        let rs =
+          List.init 6 (fun _ ->
+              let attr = Attr.make ~owner:home ~min_replicas:2 () in
+              let r = ok (Client.create_region c ~attr 4096) in
+              ok (Client.write_bytes c ~addr:r.Region.base (bytes_s "spread"));
+              r)
+        in
+        Ksim.Fiber.sleep (Ksim.Time.sec 1);
+        rs)
+  in
+  List.iter
+    (fun peer ->
+      let held =
+        List.filter
+          (fun (r : Region.t) ->
+            Daemon.holds_page (System.daemon sys peer) r.Region.base)
+          regions
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d holds a replica (%d of %d regions)" peer
+           (List.length held) (List.length regions))
+        true (held <> []))
+    peers
+
 (* The intent log's bound holds at operation granularity, whatever the
    clock does: a burst of plain writes and 2-page transactions that takes
    far less than one [repair_every] of simulated time (so the repair
@@ -457,6 +491,8 @@ let () =
             test_lossy_wan_ops_still_complete;
           Alcotest.test_case "availability sweep shape" `Slow
             test_availability_sweep_shape;
+          Alcotest.test_case "replicas spread over cluster" `Quick
+            test_replicas_spread_over_cluster;
         ] );
       ( "wal bound",
         [

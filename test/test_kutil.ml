@@ -85,6 +85,46 @@ let test_distance () =
   Alcotest.check u128 "forward" (U128.of_int 160) (U128.distance a b);
   Alcotest.check u128 "backward" (U128.of_int 160) (U128.distance b a)
 
+(* Page-keyed tables must spread page-aligned addresses: those differ
+   only above bit 12 (or only in the high word), and a hash that passes
+   the low word through puts every such key in one bucket. *)
+let test_table_spread () =
+  let check name addrs =
+    let t = Gaddr.Table.create 256 in
+    List.iter (fun a -> Gaddr.Table.replace t a ()) addrs;
+    Alcotest.(check int) (name ^ ": all keys stored") 256 (Gaddr.Table.length t);
+    let longest = (Gaddr.Table.stats t).Hashtbl.max_bucket_length in
+    if longest > 8 then
+      Alcotest.failf "%s: longest bucket holds %d of 256 keys" name longest
+  in
+  let base = Gaddr.of_int 0x1000_0000 in
+  check "4 KiB stride" (List.init 256 (fun i -> Gaddr.add_int base (i * 4096)));
+  check "64 KiB stride" (List.init 256 (fun i -> Gaddr.add_int base (i * 65536)));
+  check "high word"
+    (List.init 256 (fun i -> U128.make ~hi:(Int64.of_int (i + 1)) ~lo:4096L))
+
+let test_txid_hash () =
+  let ids =
+    List.concat_map
+      (fun coord ->
+        List.concat_map
+          (fun epoch ->
+            List.init 20 (fun seq -> Kutil.Txid.make ~coord ~epoch ~seq))
+          [ 0; 1; 7 ])
+      [ 0; 3; 9 ]
+  in
+  List.iter
+    (fun id ->
+      let copy =
+        Kutil.Txid.make ~coord:id.Kutil.Txid.coord ~epoch:id.epoch ~seq:id.seq
+      in
+      Alcotest.(check bool) "copy is equal" true (Kutil.Txid.equal id copy);
+      Alcotest.(check int)
+        (Kutil.Txid.to_string id ^ ": equal ids hash alike")
+        (Kutil.Txid.hash id) (Kutil.Txid.hash copy);
+      Alcotest.(check bool) "hash non-negative" true (Kutil.Txid.hash id >= 0))
+    ids
+
 (* qcheck properties over random 128-bit values *)
 
 let arb_u128 =
@@ -114,6 +154,37 @@ let prop_divmod =
     (fun (v, n) ->
       let q, r = U128.divmod_int v n in
       r >= 0 && r < n && U128.equal v (U128.add (U128.mul_int q n) (U128.of_int r)))
+
+(* [equal a b] implies [hash a = hash b]: rebuild [v] by a different
+   arithmetic path, so the two are equal but not physically shared. *)
+let prop_hash_equal =
+  QCheck.Test.make ~name:"u128 equal values hash alike, hash >= 0" ~count:500
+    (QCheck.pair arb_u128 arb_u128)
+    (fun (v, w) ->
+      let v' = U128.sub (U128.add v w) w in
+      U128.equal v v' && U128.hash v = U128.hash v' && U128.hash v >= 0
+      && Gaddr.hash v = U128.hash v)
+
+(* [within] agrees with the allocating definition [base <= v < base + len]
+   wherever [base + len] does not wrap, for points on both sides of each
+   bound. *)
+let prop_within =
+  QCheck.Test.make ~name:"u128 within = base <= v < base + len" ~count:500
+    (QCheck.triple arb_u128 (QCheck.int_range 0 1_000_000)
+       (QCheck.int_range (-3) 3))
+    (fun (base, len, d) ->
+      let base = U128.min base (U128.sub U128.max_value (U128.of_int (len + 8))) in
+      let limit = U128.add_int base len in
+      let points =
+        [ base; limit; U128.add_int base (max 0 (len / 2)) ]
+        @ (if d >= 0 then [ U128.add_int base d; U128.add_int limit d ]
+           else [ U128.sub base (U128.of_int (-d)); U128.sub limit (U128.of_int (-d)) ])
+      in
+      List.for_all
+        (fun v ->
+          U128.within v ~base ~len
+          = (U128.compare base v <= 0 && U128.compare v limit < 0))
+        points)
 
 let prop_hex_roundtrip =
   QCheck.Test.make ~name:"u128 hex roundtrip" ~count:500 arb_u128 (fun v ->
@@ -410,12 +481,17 @@ let () =
         ] );
       qsuite "u128-properties"
         [ prop_add_sub; prop_add_commutes; prop_compare_total; prop_divmod;
-          prop_hex_roundtrip ];
+          prop_hex_roundtrip; prop_hash_equal; prop_within ];
       ( "gaddr",
         [
           Alcotest.test_case "page math" `Quick test_page_math;
           Alcotest.test_case "pages_in" `Quick test_pages_in;
           Alcotest.test_case "diff" `Quick test_diff;
+          Alcotest.test_case "table spread" `Quick test_table_spread;
+        ] );
+      ( "txid",
+        [
+          Alcotest.test_case "equal ids hash alike" `Quick test_txid_hash;
         ] );
       ( "rng",
         [
